@@ -30,7 +30,7 @@ from .constructions import (
     universe_typoid,
 )
 from .dsl import Document, TypoidEntry, document_for, parse, serialize
-from .model import ResourceLimitError, Typoid, ValidationReport, validate_typoid
+from .model import Budget, ResourceLimitError, Typoid, ValidationReport, validate_typoid
 from .morphisms import validate_morphism
 from .univalence import NotUnivalent, NotUnivalentError, check_univalence
 
@@ -171,11 +171,12 @@ def _cmd_univalence(args) -> int:
     doc = _load(args.file)
     entry = _find_typoid(doc, args.typoid, args.file)
     t = entry.typoid
-    report = validate_typoid(t)
+    budget = Budget()  # one budget for the validation and the decision
+    report = validate_typoid(t, budget)
     if not report.valid:
         _report("invalid", violations=_law_json(report), stats=_stats(t, report.checks))
         return EXIT_PROPERTY
-    outcome = check_univalence(t)
+    outcome = check_univalence(t, budget, report=report)
     if isinstance(outcome, NotUnivalent):
         witness = {
             "code": "L310",

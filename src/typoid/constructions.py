@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .model import (
-    Budget,
     EquivalenceLayer,
     FiniteGroupoid,
     ResourceLimitError,

@@ -32,9 +32,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .constructions import _renumber
-from .model import CellPartition, EquivalenceLayer, FiniteGroupoid, Typoid
+from .model import CellPartition, EquivalenceLayer, FiniteGroupoid, Typoid, _out_index
 from .morphisms import TypoidMorphism
 
 # E-code table
@@ -133,8 +134,7 @@ class ParseResult:
 # ---------------------------------------------------------------------------
 # tokenizer
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # "ident" | "punct" | "eof"
     text: str
     line: int
@@ -145,46 +145,46 @@ class _Token:
         return Span(self.line, self.column, max(len(self.text), 1))
 
 
+# Every match is the whitespace before one item, so one finditer pass covers
+# the text; `eof` takes the trailing whitespace and ends the pass, and `bad`
+# is any other single non-space character.
 _TOKEN_RE = re.compile(
-    r"(?P<ws>[ \t\r]+)"
-    r"|(?P<comment>#[^\n]*)"
+    r"[ \t\r]*(?:"
+    r"(?P<comment>#[^\n]*)"
     r"|(?P<nl>\n)"
     r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
     r"|(?P<punct>\|->|->|==|=>|[{};:.=*~])"
+    r"|(?P<eof>\Z)"
+    r"|(?P<bad>[^ \t\r\n])"
+    r")"
 )
 
 
 def _tokenize(text: str) -> tuple[list[_Token], list[Diagnostic]]:
     tokens: list[_Token] = []
     diagnostics: list[Diagnostic] = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
+    line, line_start = 1, 0  # columns count from the offset of the line start
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "ident" or kind == "punct":
+            value = m.group(kind)
+            tokens.append(_Token(kind, value, line, m.end() - len(value) - line_start + 1))
+        elif kind == "nl":
+            line += 1
+            line_start = m.end()
+        elif kind == "bad":
+            pos = m.end() - 1
             diagnostics.append(
                 Diagnostic(
                     "error",
-                    Span(line, col, 1),
+                    Span(line, pos - line_start + 1, 1),
                     E_LEX,
                     f"unexpected character {text[pos]!r}",
                 )
             )
-            pos += 1
-            col += 1
-            continue
-        kind = m.lastgroup
-        value = m.group()
-        if kind == "nl":
-            line += 1
-            col = 1
-        elif kind in ("ws", "comment"):
-            col += len(value)
-        else:
-            tokens.append(_Token(kind, value, line, col))
-            col += len(value)
-        pos = m.end()
-    tokens.append(_Token("eof", "", line, col))
+        elif kind == "eof":
+            tokens.append(_Token("eof", "", line, m.end() - line_start + 1))
+            break
     return tokens, diagnostics
 
 
@@ -550,9 +550,10 @@ def _assemble_typoid(raw: _RawTypoid, diagnostics: list[Diagnostic]) -> TypoidEn
                 comp.setdefault((refl[x], q), q)
             if path_dst[q] == x:
                 comp.setdefault((q, refl[x]), q)
+    paths_from = _out_index(path_src, n_terms)
     for x in range(n_paths):
-        for y in range(n_paths):
-            if path_dst[x] == path_src[y] and (x, y) not in comp:
+        for y in paths_from[path_dst[x]]:
+            if (x, y) not in comp:
                 error(
                     raw.span, E_MISSING,
                     f"missing comp entry for {path_names[x]!r} . {path_names[y]!r} in typoid {raw.name!r}",
@@ -669,9 +670,10 @@ def _assemble_typoid(raw: _RawTypoid, diagnostics: list[Diagnostic]) -> TypoidEn
             star.setdefault((eqv[edge_src[e]], e), e)
         if edge_dst[e] in absorbing:
             star.setdefault((e, eqv[edge_dst[e]]), e)
+    edges_from = _out_index(edge_src, n_terms)
     for x in range(n_edges):
-        for y in range(n_edges):
-            if edge_dst[x] == edge_src[y] and (x, y) not in star:
+        for y in edges_from[edge_dst[x]]:
+            if (x, y) not in star:
                 error(
                     raw.span, E_MISSING,
                     f"missing star entry for {edge_names[x]!r} * {edge_names[y]!r} in typoid {raw.name!r}",

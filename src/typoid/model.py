@@ -6,7 +6,10 @@ into cells; the four weak-groupoid laws (Typ1..Typ4) only have to hold up to
 the cell partition.  A path-to-edge table ties the two levels together.
 
 Validators check every law instance exhaustively and report each failure
-with a concrete witness instead of aborting on the first problem.
+with a concrete witness instead of aborting on the first problem.  The
+composition tables are split into one row per path or edge, indexed by the
+terms' outgoing ids, so associativity runs over the composable triples only
+instead of over every triple of ids.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator, Mapping
+from typing import Mapping
 
 DEFAULT_MAX_CHECKS = 10_000_000
 
@@ -105,12 +108,6 @@ class FiniteGroupoid:
 
     def hom(self, x: int, y: int) -> tuple[int, ...]:
         return self._hom.get((x, y), ())
-
-    def composable_pairs(self) -> Iterator[tuple[int, int]]:
-        for p in range(self.path_count):
-            for q in range(self.path_count):
-                if self.path_dst[p] == self.path_src[q]:
-                    yield (p, q)
 
 
 @dataclass(frozen=True)
@@ -226,6 +223,90 @@ def _ids_in_range(ids, count) -> bool:
     return all(0 <= i < count for i in ids)
 
 
+def _out_index(src: tuple[int, ...], term_count: int) -> list[list[int]]:
+    """The ids leaving each term, in ascending order."""
+    out: list[list[int]] = [[] for _ in range(term_count)]
+    for i, x in enumerate(src):
+        out[x].append(i)
+    return out
+
+
+def _triple_estimate(src: tuple[int, ...], dst: tuple[int, ...], out: list[list[int]]) -> int:
+    """Composable triples (p, q, r): for each middle q, the ids entering its
+    source times the ids leaving its target."""
+    into = [0] * len(out)
+    for y in dst:
+        into[y] += 1
+    return sum(into[src[q]] * len(out[dst[q]]) for q in range(len(src)))
+
+
+def _table_rows(
+    name: str,
+    table: Mapping[tuple[int, int], int],
+    src: tuple[int, ...],
+    dst: tuple[int, ...],
+    out: list[list[int]],
+    violations: list[Violation],
+) -> list[dict[int, int]]:
+    """Split a composition table into rows: rows[p][q] = table[p, q] for each
+    composable pair whose entry is in range with the right endpoints, in
+    ascending q.  Missing, stray and malformed entries are Bookkeeping
+    violations."""
+    n = len(src)
+    rows: list[dict[int, int]] = []
+    for p in range(n):
+        row: dict[int, int] = {}
+        for q in out[dst[p]]:
+            pair = (p, q)
+            r = table.get(pair)
+            if r is None:
+                violations.append(
+                    Violation("Bookkeeping", pair, f"{name} entry missing for composable pair {pair}")
+                )
+            elif not 0 <= r < n:
+                violations.append(Violation("Bookkeeping", pair, f"{name}{pair} = {r} is out of range"))
+            elif (src[r], dst[r]) != (src[p], dst[q]):
+                violations.append(Violation("Bookkeeping", pair, f"{name}{pair} = {r} has wrong endpoints"))
+            else:
+                row[q] = r
+        rows.append(row)
+    for pair in table:
+        p, q = pair
+        if not (0 <= p < n and 0 <= q < n and dst[p] == src[q]):
+            violations.append(Violation("Bookkeeping", pair, f"{name} entry {pair} is not a composable pair"))
+    return rows
+
+
+def _associativity(
+    rows: list[dict[int, int]], cell: tuple[int, ...] | None = None
+) -> tuple[int, list[tuple[int, int, int, int, int]]]:
+    """Associativity over the composable triples (p, q, r) of a row table.
+
+    Counts the instances whose two bracketings are both defined and returns
+    (p, q, r, lhs, rhs) for those that differ, or with `cell` given, that lie
+    in different cells.  Row q holds exactly the r composable after q, so
+    each (p, q) compares its two bracketings over row q in one pass.
+    """
+    count = 0
+    bad: list[tuple[int, int, int, int, int]] = []
+    for p, row_p in enumerate(rows):
+        p_get = row_p.get
+        for q, pq in row_p.items():
+            row_q = rows[q]
+            lhs = list(map(rows[pq].get, row_q))
+            rhs = list(map(p_get, row_q.values()))
+            if lhs == rhs:
+                count += len(lhs) - lhs.count(None)
+                continue
+            for r, a, b in zip(row_q, lhs, rhs):
+                if a is None or b is None:
+                    continue
+                count += 1
+                if a != b and (cell is None or cell[a] != cell[b]):
+                    bad.append((p, q, r, a, b))
+    return count, bad
+
+
 def validate_groupoid(g: FiniteGroupoid, budget: Budget | None = None) -> ValidationReport:
     """Check strict groupoid laws and table bookkeeping exhaustively."""
     budget = budget or Budget()
@@ -269,48 +350,33 @@ def validate_groupoid(g: FiniteGroupoid, budget: Budget | None = None) -> Valida
         if (g.path_src[q], g.path_dst[q]) != (g.path_dst[p], g.path_src[p]):
             bookkeeping((p, q), f"inv of path {p} does not swap endpoints")
 
-    expected = set(g.composable_pairs())
-    present = set(g.comp)
-    for pair in sorted(expected - present):
-        bookkeeping(pair, f"comp entry missing for composable pair {pair}")
-    for pair in sorted(present - expected):
-        bookkeeping(pair, f"comp entry {pair} is not a composable pair")
-    good_entries: dict[tuple[int, int], int] = {}
-    for pair in expected & present:
-        r = g.comp[pair]
-        if not 0 <= r < n:
-            bookkeeping(pair, f"comp{pair} = {r} is out of range")
-        elif (g.path_src[r], g.path_dst[r]) != (g.path_src[pair[0]], g.path_dst[pair[1]]):
-            bookkeeping(pair, f"comp{pair} = {r} has wrong endpoints")
-        else:
-            good_entries[pair] = r
-
-    cget = good_entries.get
+    out = _out_index(g.path_src, g.term_count)
+    rows = _table_rows("comp", g.comp, g.path_src, g.path_dst, out, violations)
 
     law = 0
     for p in range(n):
-        left = cget((g.refl[g.path_src[p]], p))
+        left = rows[g.refl[g.path_src[p]]].get(p)
         if left is not None:
             law += 1
             if left != p:
                 violations.append(
                     Violation("Groupoid", (p,), f"comp(refl, {p}) = {left}, expected {p}")
                 )
-        right = cget((p, g.refl[g.path_dst[p]]))
+        right = rows[p].get(g.refl[g.path_dst[p]])
         if right is not None:
             law += 1
             if right != p:
                 violations.append(
                     Violation("Groupoid", (p,), f"comp({p}, refl) = {right}, expected {p}")
                 )
-        forward = cget((p, g.inv[p]))
+        forward = rows[p].get(g.inv[p])
         if forward is not None:
             law += 1
             if forward != g.refl[g.path_src[p]]:
                 violations.append(
                     Violation("Groupoid", (p,), f"comp({p}, inv {p}) = {forward} is not refl")
                 )
-        backward = cget((g.inv[p], p))
+        backward = rows[g.inv[p]].get(p)
         if backward is not None:
             law += 1
             if backward != g.refl[g.path_dst[p]]:
@@ -319,36 +385,17 @@ def validate_groupoid(g: FiniteGroupoid, budget: Budget | None = None) -> Valida
                 )
     budget.spend(law)
 
-    assoc_estimate = 0
-    for (x, y), ps in g._hom.items():
-        for (y2, z), qs in g._hom.items():
-            if y2 != y:
-                continue
-            for (z2, w), rs in g._hom.items():
-                if z2 == z:
-                    assoc_estimate += len(ps) * len(qs) * len(rs)
-    budget.spend(assoc_estimate)
-    for (p, q) in sorted(g.comp):
-        pq = cget((p, q))
-        if pq is None:
-            continue
-        for r in range(n):
-            if g.path_src[r] != g.path_dst[q]:
-                continue
-            qr = cget((q, r))
-            lhs = cget((pq, r))
-            rhs = cget((p, qr)) if qr is not None else None
-            if lhs is None or rhs is None:
-                continue
-            law += 1
-            if lhs != rhs:
-                violations.append(
-                    Violation(
-                        "Groupoid",
-                        (p, q, r),
-                        f"comp(comp({p},{q}),{r}) = {lhs} but comp({p},comp({q},{r})) = {rhs}",
-                    )
-                )
+    budget.spend(_triple_estimate(g.path_src, g.path_dst, out))
+    assoc, bad = _associativity(rows)
+    law += assoc
+    for p, q, r, lhs, rhs in bad:
+        violations.append(
+            Violation(
+                "Groupoid",
+                (p, q, r),
+                f"comp(comp({p},{q}),{r}) = {lhs} but comp({p},comp({q},{r})) = {rhs}",
+            )
+        )
     counts["Groupoid"] = law
     return ValidationReport.collect(violations, counts)
 
@@ -440,43 +487,21 @@ def validate_typoid(t: Typoid, budget: Budget | None = None) -> ValidationReport
         # would only produce noise on top of the Partition reports
         return ValidationReport.collect(violations, counts)
 
-    expected = {
-        (e, d)
-        for e in range(n)
-        for d in range(n)
-        if layer.edge_dst[e] == layer.edge_src[d]
-    }
-    present = set(layer.star)
-    for pair in sorted(expected - present):
-        violations.append(Violation("Bookkeeping", pair, f"star entry missing for composable pair {pair}"))
-    for pair in sorted(present - expected):
-        violations.append(Violation("Bookkeeping", pair, f"star entry {pair} is not a composable pair"))
-    good: dict[tuple[int, int], int] = {}
-    for pair in expected & present:
-        r = layer.star[pair]
-        if not 0 <= r < n:
-            violations.append(Violation("Bookkeeping", pair, f"star{pair} = {r} is out of range"))
-        elif (layer.edge_src[r], layer.edge_dst[r]) != (
-            layer.edge_src[pair[0]],
-            layer.edge_dst[pair[1]],
-        ):
-            violations.append(Violation("Bookkeeping", pair, f"star{pair} = {r} has wrong endpoints"))
-        else:
-            good[pair] = r
-    sget = good.get
+    out = _out_index(layer.edge_src, layer.term_count)
+    rows = _table_rows("star", layer.star, layer.edge_src, layer.edge_dst, out, violations)
     cell = layer.cell
 
     typ1 = 0
     for e in range(n):
         x, y = layer.edge_src[e], layer.edge_dst[e]
-        left = sget((layer.eqv[x], e))
+        left = rows[layer.eqv[x]].get(e)
         if left is not None:
             typ1 += 1
             if cell[left] != cell[e]:
                 violations.append(
                     Violation("Typ1", (e,), f"star(eqv, {e}) = {left} is not in the cell of {e}")
                 )
-        right = sget((e, layer.eqv[y]))
+        right = rows[e].get(layer.eqv[y])
         if right is not None:
             typ1 += 1
             if cell[right] != cell[e]:
@@ -489,14 +514,14 @@ def validate_typoid(t: Typoid, budget: Budget | None = None) -> ValidationReport
     typ2 = 0
     for e in range(n):
         x, y = layer.edge_src[e], layer.edge_dst[e]
-        forward = sget((e, layer.einv[e]))
+        forward = rows[e].get(layer.einv[e])
         if forward is not None:
             typ2 += 1
             if cell[forward] != cell[layer.eqv[x]]:
                 violations.append(
                     Violation("Typ2", (e,), f"star({e}, einv {e}) = {forward} is not in the cell of eqv")
                 )
-        backward = sget((layer.einv[e], e))
+        backward = rows[layer.einv[e]].get(e)
         if backward is not None:
             typ2 += 1
             if cell[backward] != cell[layer.eqv[y]]:
@@ -506,38 +531,16 @@ def validate_typoid(t: Typoid, budget: Budget | None = None) -> ValidationReport
     counts["Typ2"] = typ2
     budget.spend(typ2)
 
-    typ3_estimate = 0
-    for (x, y), es in layer._hom.items():
-        for z in range(layer.term_count):
-            qs = layer.hom(y, z)
-            if not qs:
-                continue
-            for w in range(layer.term_count):
-                rs = layer.hom(z, w)
-                typ3_estimate += len(es) * len(qs) * len(rs)
-    budget.spend(typ3_estimate)
-    typ3 = 0
-    for (e1, e2) in sorted(layer.star):
-        e12 = sget((e1, e2))
-        if e12 is None:
-            continue
-        for e3 in range(n):
-            if layer.edge_src[e3] != layer.edge_dst[e2]:
-                continue
-            e23 = sget((e2, e3))
-            lhs = sget((e12, e3))
-            rhs = sget((e1, e23)) if e23 is not None else None
-            if lhs is None or rhs is None:
-                continue
-            typ3 += 1
-            if cell[lhs] != cell[rhs]:
-                violations.append(
-                    Violation(
-                        "Typ3",
-                        (e1, e2, e3),
-                        f"star(star({e1},{e2}),{e3}) and star({e1},star({e2},{e3})) are in different cells",
-                    )
-                )
+    budget.spend(_triple_estimate(layer.edge_src, layer.edge_dst, out))
+    typ3, bad = _associativity(rows, cell)
+    for e1, e2, e3, _, _ in bad:
+        violations.append(
+            Violation(
+                "Typ3",
+                (e1, e2, e3),
+                f"star(star({e1},{e2}),{e3}) and star({e1},star({e2},{e3})) are in different cells",
+            )
+        )
     counts["Typ3"] = typ3
 
     typ4_estimate = 0
@@ -566,8 +569,8 @@ def validate_typoid(t: Typoid, budget: Budget | None = None) -> ValidationReport
                         for d1 in m1:
                             for e2 in m2:
                                 for d2 in m2:
-                                    lhs = sget((e1, e2))
-                                    rhs = sget((d1, d2))
+                                    lhs = rows[e1].get(e2)
+                                    rhs = rows[d1].get(d2)
                                     if lhs is None or rhs is None:
                                         continue
                                     typ4 += 1
@@ -617,7 +620,7 @@ def validate_typoid(t: Typoid, budget: Budget | None = None) -> ValidationReport
             for (p, q), pq in sorted(t.base.comp.items()):
                 if p not in in_range or q not in in_range or pq not in in_range:
                     continue  # already a base bookkeeping violation
-                composite = sget((t.idtoeqv[p], t.idtoeqv[q]))
+                composite = rows[t.idtoeqv[p]].get(t.idtoeqv[q])
                 if composite is None:
                     continue
                 ide += 1

@@ -47,11 +47,17 @@ class NotUnivalentError(Exception):
         self.witness = witness
 
 
-def check_univalence(t: Typoid, budget: Budget | None = None):
+def check_univalence(
+    t: Typoid, budget: Budget | None = None, report: ValidationReport | None = None
+):
     """Decision procedure: returns a UnivalenceCertificate or a NotUnivalent
-    witness.  Rejects structures that fail validate_typoid."""
+    witness.  Rejects structures that fail validate_typoid.
+
+    `report` is the caller's validate_typoid report of `t`; passing it skips
+    the second validation, and an invalid one is rejected all the same."""
     budget = budget or Budget()
-    report = validate_typoid(t, budget)
+    if report is None:
+        report = validate_typoid(t, budget)
     if not report.valid:
         first = report.violations[0]
         raise ValueError(
@@ -88,9 +94,13 @@ def check_univalence(t: Typoid, budget: Budget | None = None):
             for e in edges:
                 ua[e] = path_of_class[layer.cell[e]]
 
-    strict = all(ua[layer.eqv[x]] == base.refl[x] for x in range(t.term_count))
-    # Forced: the class map sends refl's image cell back to refl itself.
-    assert strict, "synthesized table must send designated eqv edges to refl"
+    # Forced for a valid typoid: the class map sends refl's image cell back
+    # to refl itself.  Failing means `report` did not describe `t`.
+    if not all(ua[layer.eqv[x]] == base.refl[x] for x in range(t.term_count)):
+        raise ValueError(
+            f"typoid {t.name!r} is invalid: its witness table does not send every "
+            "designated eqv edge to refl"
+        )
     return UnivalenceCertificate(typoid_name=t.name, ua=tuple(ua), strict=True)
 
 

@@ -389,3 +389,62 @@ def oracle_search(t: Typoid):
         elif len(rejected) < 3:
             rejected.append(table)
     return satisfying, rejected
+
+
+# ---------------------------------------------------------------------------
+# brute-force associativity reference
+
+
+def naive_entries(table, src, dst) -> dict[tuple[int, int], int]:
+    """The entries of composable pairs that are in range with the right
+    endpoints, found by trying every pair of ids."""
+    n = len(src)
+    good = {}
+    for p in range(n):
+        for q in range(n):
+            r = table.get((p, q))
+            if dst[p] == src[q] and r is not None and 0 <= r < n and (src[r], dst[r]) == (src[p], dst[q]):
+                good[(p, q)] = r
+    return good
+
+
+def naive_associativity(table, src, dst, cell=None):
+    """Associativity over every triple of ids, with no index.
+
+    Returns (composable triples, instances whose two bracketings are both
+    defined, failing triples).  Only entries of composable pairs that are in
+    range with the right endpoints take part; `cell`, when given, compares
+    the bracketings up to cells instead of on the nose.
+    """
+    n = len(src)
+    good = naive_entries(table, src, dst)
+    triples = instances = 0
+    failing = []
+    for p in range(n):
+        for q in range(n):
+            for r in range(n):
+                if dst[p] != src[q] or dst[q] != src[r]:
+                    continue
+                triples += 1
+                pq, qr = good.get((p, q)), good.get((q, r))
+                lhs = good.get((pq, r)) if pq is not None else None
+                rhs = good.get((p, qr)) if qr is not None else None
+                if lhs is None or rhs is None:
+                    continue
+                instances += 1
+                if (lhs != rhs) if cell is None else (cell[lhs] != cell[rhs]):
+                    failing.append((p, q, r))
+    return triples, instances, failing
+
+
+def naive_typ4_estimate(layer: EquivalenceLayer) -> int:
+    """Typ4 candidates: composable edge pairs weighted by both cell sizes."""
+    size = {}
+    for e in range(layer.edge_count):
+        size[layer.cell[e]] = size.get(layer.cell[e], 0) + 1
+    return sum(
+        size[layer.cell[e]] * size[layer.cell[d]]
+        for e in range(layer.edge_count)
+        for d in range(layer.edge_count)
+        if layer.edge_dst[e] == layer.edge_src[d]
+    )

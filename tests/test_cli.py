@@ -221,3 +221,36 @@ def test_written_files_byte_stable(tmp_path, capsys):
     assert (tmp_path / "p1.typoid.prov.json").read_bytes() == (
         tmp_path / "p2.typoid.prov.json"
     ).read_bytes()
+
+
+def test_univalence_validates_once(tmp_path, capsys, monkeypatch):
+    import typoid.univalence as univalence
+
+    calls = []
+    for module in (cli, univalence):
+        original = module.validate_typoid
+
+        def counted(*args, _original=original, **kwargs):
+            calls.append(args[0].name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, "validate_typoid", counted)
+    f = tmp_path / "ab.typoid"
+    f.write_text(AB + TWOEDGE)
+    assert run(capsys, "univalence", str(f), "--typoid", "A")[1]["result"] == "univalent"
+    assert run(capsys, "univalence", str(f), "--typoid", "T")[1]["result"] == "not-univalent"
+    assert calls == ["A", "T"]
+
+
+def test_univalence_spends_one_budget_across_validation_and_decision(tmp_path, capsys, monkeypatch):
+    f = tmp_path / "ab.typoid"
+    f.write_text(AB)
+    code, report = run(capsys, "univalence", str(f), "--typoid", "A")
+    assert code == 0
+    decision = 4  # the one hom of A holds two paths and two edges
+    monkeypatch.setenv("TYPOID_MAX_CHECKS", str(report["stats"]["checks"] + decision))
+    assert run(capsys, "univalence", str(f), "--typoid", "A")[0] == 0
+    monkeypatch.setenv("TYPOID_MAX_CHECKS", str(report["stats"]["checks"] + decision - 1))
+    code, report = run(capsys, "univalence", str(f), "--typoid", "A")
+    assert code == 3
+    assert report["result"] == "resource-limit"

@@ -11,6 +11,7 @@ from typoid.dsl import (
     E_SYNTAX,
     E_UNKNOWN,
     E_UNRESOLVED,
+    _tokenize,
     document_for,
     parse,
     serialize,
@@ -239,3 +240,102 @@ def test_missing_terms_statement_diagnosed():
     result = parse("typoid A { }")
     assert not result.ok
     assert any(d.code == E_MISSING and "terms" in d.message for d in result.diagnostics)
+
+
+DROPPED_ROWS_SOURCE = """\
+typoid Z3 {
+  terms x ;
+  path p : x -> x ;
+  path q : x -> x ;
+  comp q . q = p ;
+  pinv p = q ;
+  pinv q = p ;
+  edge e : x ~ x ;
+  edge d : x ~ x ;
+  star d * e = eqv_x ;
+  einv e = d ;
+  einv d = e ;
+  idtoeqv p => e ;
+  idtoeqv q => d ;
+}
+typoid P {
+  terms a b ;
+  path u : a -> b ;
+  path v : b -> a ;
+  pinv u = v ;
+  pinv v = u ;
+  edge f : a ~ b ;
+  edge g : b ~ a ;
+  einv f = g ;
+  einv g = f ;
+  idtoeqv u => f ;
+  idtoeqv v => g ;
+}
+"""
+
+
+def test_dropped_comp_and_star_rows_diagnosed_in_pair_order():
+    result = parse(DROPPED_ROWS_SOURCE)
+    assert not result.ok
+    assert [(d.code, d.span.line, d.span.column, d.message) for d in result.diagnostics] == [
+        (E_MISSING, 1, 8, "missing comp entry for 'p' . 'p' in typoid 'Z3'"),
+        (E_MISSING, 1, 8, "missing comp entry for 'p' . 'q' in typoid 'Z3'"),
+        (E_MISSING, 1, 8, "missing comp entry for 'q' . 'p' in typoid 'Z3'"),
+        (E_MISSING, 1, 8, "missing star entry for 'e' * 'e' in typoid 'Z3'"),
+        (E_MISSING, 1, 8, "missing star entry for 'e' * 'd' in typoid 'Z3'"),
+        (E_MISSING, 1, 8, "missing star entry for 'd' * 'd' in typoid 'Z3'"),
+        (E_MISSING, 16, 8, "missing comp entry for 'u' . 'v' in typoid 'P'"),
+        (E_MISSING, 16, 8, "missing comp entry for 'v' . 'u' in typoid 'P'"),
+        (E_MISSING, 16, 8, "missing star entry for 'f' * 'g' in typoid 'P'"),
+        (E_MISSING, 16, 8, "missing star entry for 'g' * 'f' in typoid 'P'"),
+    ]
+
+
+def _tokens(text):
+    tokens, diagnostics = _tokenize(text)
+    return (
+        [(t.kind, t.text, t.line, t.column) for t in tokens],
+        [(d.code, d.span.line, d.span.column, d.message) for d in diagnostics],
+    )
+
+
+def test_tokens_pinned_across_crlf_and_tabs():
+    assert _tokens("typoid A {\r\n\tterms x ;\r\n}\r\n") == (
+        [
+            ("ident", "typoid", 1, 1), ("ident", "A", 1, 8), ("punct", "{", 1, 10),
+            ("ident", "terms", 2, 2), ("ident", "x", 2, 8), ("punct", ";", 2, 10),
+            ("punct", "}", 3, 1), ("eof", "", 4, 1),
+        ],
+        [],
+    )
+
+
+def test_tokens_pinned_around_comments_without_trailing_newline():
+    assert _tokens("# head\n  terms x ; # tail\n\tedge") == (
+        [
+            ("ident", "terms", 2, 3), ("ident", "x", 2, 9), ("punct", ";", 2, 11),
+            ("ident", "edge", 3, 2), ("eof", "", 3, 6),
+        ],
+        [],
+    )
+
+
+def test_unexpected_characters_pinned():
+    assert _tokens("a?b €\t|-> -x\n=>==|") == (
+        [
+            ("ident", "a", 1, 1), ("ident", "b", 1, 3), ("punct", "|->", 1, 7),
+            ("ident", "x", 1, 12), ("punct", "=>", 2, 1), ("punct", "==", 2, 3),
+            ("eof", "", 2, 6),
+        ],
+        [
+            ("E100", 1, 2, "unexpected character '?'"),
+            ("E100", 1, 5, "unexpected character '€'"),
+            ("E100", 1, 11, "unexpected character '-'"),
+            ("E100", 2, 5, "unexpected character '|'"),
+        ],
+    )
+
+
+def test_trailing_whitespace_and_empty_text_end_in_eof():
+    assert _tokens("x  \t ") == ([("ident", "x", 1, 1), ("eof", "", 1, 6)], [])
+    assert _tokens("") == ([("eof", "", 1, 1)], [])

@@ -10,7 +10,7 @@ import typoid as T
 from typoid.model import EquivalenceLayer, FiniteGroupoid, Typoid
 
 from corpus import full_stock
-from small_models import family
+from small_models import family, naive_associativity, naive_entries, naive_typ4_estimate
 
 
 def z2_groupoid() -> FiniteGroupoid:
@@ -250,3 +250,68 @@ def test_derived_laws_hold_for_random_valid_structures(seed):
     fam = family()
     t = fam[seed % len(fam)]
     assert T.derived_laws(t).valid
+
+
+def _single_row_mutants(t: Typoid, i: int):
+    """t itself, then one comp and one star row redirected and dropped."""
+    yield t
+    base, layer = t.base, t.layer
+    if not base.comp:
+        return
+    comp_keys, star_keys = sorted(base.comp), sorted(layer.star)
+    key = comp_keys[i % len(comp_keys)]
+    for comp in (
+        {**base.comp, key: (base.comp[key] + 1) % base.path_count},
+        {k: v for k, v in base.comp.items() if k != key},
+    ):
+        g = FiniteGroupoid(base.term_count, base.path_src, base.path_dst, base.refl, comp, base.inv)
+        yield Typoid(t.name, g, layer, t.idtoeqv)
+    key = star_keys[i % len(star_keys)]
+    for star in (
+        {**layer.star, key: (layer.star[key] + 1) % layer.edge_count},
+        {k: v for k, v in layer.star.items() if k != key},
+    ):
+        lay = EquivalenceLayer(
+            layer.term_count, layer.edge_src, layer.edge_dst, layer.eqv, star, layer.einv, layer.cell
+        )
+        yield Typoid(t.name, base, lay, t.idtoeqv)
+
+
+def test_indexed_associativity_matches_brute_force():
+    """Groupoid and Typ3 agree with a loop over every triple of ids on the
+    violations, the law counts and the budget spent."""
+    fam = family()
+    checked = 0
+    for i in range(0, len(fam), 7):
+        for t in _single_row_mutants(fam[i], i):
+            base, layer = t.base, t.layer
+            g_budget = T.Budget(10**9)
+            g_report = T.validate_groupoid(base, g_budget)
+            t_budget = T.Budget(10**9)
+            t_report = T.validate_typoid(t, t_budget)
+
+            good = naive_entries(base.comp, base.path_src, base.path_dst)
+            unit_inverse = 0
+            for p in range(base.path_count):
+                x, y, inv = base.path_src[p], base.path_dst[p], base.inv[p]
+                for pair in ((base.refl[x], p), (p, base.refl[y]), (p, inv), (inv, p)):
+                    unit_inverse += pair in good
+            triples, instances, failing = naive_associativity(base.comp, base.path_src, base.path_dst)
+            assert g_report.law_counts["Groupoid"] == unit_inverse + instances
+            assert g_budget.spent == unit_inverse + triples
+            assert [v.witness for v in g_report.violations if v.law == "Groupoid" and len(v.witness) == 3] == failing
+            assert t_report.law_counts["Groupoid"] == g_report.law_counts["Groupoid"]
+
+            triples, instances, failing = naive_associativity(
+                layer.star, layer.edge_src, layer.edge_dst, layer.cell
+            )
+            counts = t_report.law_counts
+            assert counts["Typ3"] == instances
+            assert [v.witness for v in t_report.violations if v.law == "Typ3"] == failing
+            assert t_budget.spent == (
+                g_budget.spent
+                + counts["Partition"] + counts["Typ1"] + counts["Typ2"] + triples
+                + naive_typ4_estimate(layer) + counts["IdtoEqv"]
+            )
+            checked += 1
+    assert checked > 4 * len(range(0, len(fam), 7))

@@ -1,0 +1,22 @@
+"""Rules the library's source keeps."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import typoid
+
+SOURCES = sorted(Path(typoid.__file__).parent.glob("*.py"))
+
+
+def test_library_has_no_assert_statements():
+    # `python -O` strips asserts, so a guard written as one stops guarding
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert len(SOURCES) > 1
+    assert found == []

@@ -79,6 +79,24 @@ def test_check_univalence_rejects_invalid_typoid():
     )
     with pytest.raises(ValueError):
         T.check_univalence(broken)
+    with pytest.raises(ValueError):
+        T.check_univalence(broken, report=T.validate_typoid(broken))
+
+
+def test_check_univalence_trusts_a_passed_report(monkeypatch):
+    import typoid.univalence as univalence
+
+    t = stock_base()["eq_z2"]
+    report = T.validate_typoid(t)
+    expected = T.check_univalence(t)
+    monkeypatch.setattr(univalence, "validate_typoid", None)  # must not be called
+    budget = T.Budget()
+    assert T.check_univalence(t, budget, report=report) == expected
+    assert budget.spent == sum(
+        len(t.base.hom(x, y)) + len(t.layer.hom(x, y))
+        for x in range(t.term_count)
+        for y in range(t.term_count)
+    )
 
 
 def test_induce_identity_is_identity_morphism():
