@@ -45,7 +45,6 @@ from .constructions import (
     equality_typoid,
     exponential_typoid,
     is_prop,
-    is_set,
     morphism_into_truncation,
     pairing,
     product_typoid,

@@ -139,12 +139,6 @@ def is_prop(g: FiniteGroupoid) -> bool:
     return all(g.hom(x, y) for x in range(g.term_count) for y in range(g.term_count))
 
 
-def is_set(g: FiniteGroupoid) -> bool:
-    """Path equality carries no structure of its own here, so this is
-    trivially true for every base groupoid."""
-    return True
-
-
 def singleton_homs(g: FiniteGroupoid) -> bool:
     """Every hom-set has exactly one path."""
     return all(

@@ -25,13 +25,25 @@ involving refl, idtoeqv rows for refl, and absorption star/einv rows for a
 designated eqv edge the parser created itself (or, with `strictunits ;`,
 any designated eqv edge).  A declared row always wins over a default.
 Remaining gaps are missing-entry diagnostics (E-codes), which are distinct
-from law violations (L-codes, produced by the validators).
+from law violations (L-codes, produced by the validators).  Missing comp
+and star rows are listed up to a fixed number per table, then counted.
+
+`parse` reads a well-formed document one statement at a time, each with a
+single match of `_STATEMENT_RE`; its rows keep names and the offset of
+their statement, and a span is made only when a diagnostic or an entry
+needs one.  At the first statement that pattern rejects, the whole text
+goes to the token parser instead (`_tokenize` and `_Parser`), which words
+the E100/E101 diagnostics.  Both fill the same rows for one assembler, and
+the tests hold the statement pass to the token parser's results.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from bisect import bisect_right
+from collections.abc import Callable
+from dataclasses import dataclass, field
+from itertools import islice
 from typing import NamedTuple
 
 from .constructions import _renumber
@@ -139,6 +151,7 @@ class _Token(NamedTuple):
     text: str
     line: int
     column: int
+    offset: int
 
     @property
     def span(self) -> Span:
@@ -168,7 +181,8 @@ def _tokenize(text: str) -> tuple[list[_Token], list[Diagnostic]]:
         kind = m.lastgroup
         if kind == "ident" or kind == "punct":
             value = m.group(kind)
-            tokens.append(_Token(kind, value, line, m.end() - len(value) - line_start + 1))
+            start = m.end() - len(value)
+            tokens.append(_Token(kind, value, line, start - line_start + 1, start))
         elif kind == "nl":
             line += 1
             line_start = m.end()
@@ -183,19 +197,154 @@ def _tokenize(text: str) -> tuple[list[_Token], list[Diagnostic]]:
                 )
             )
         elif kind == "eof":
-            tokens.append(_Token("eof", "", line, m.end() - line_start + 1))
+            tokens.append(_Token("eof", "", line, m.end() - line_start + 1, m.end()))
             break
     return tokens, diagnostics
 
 
-# ---------------------------------------------------------------------------
-# parser
+def _locator(text: str) -> Callable[[int, int], Span]:
+    """`locate(at, i)` is the span of identifier `i` (the keyword is 0) of
+    the statement at offset `at`.  Rows keep only that offset, and the
+    statement is tokenized again when a diagnostic or an entry needs a span."""
+    line_starts = [0]  # filled up to the furthest offset asked for
 
-_TYPOID_KEYWORDS = {
-    "strictunits", "terms", "path", "comp", "pinv",
-    "edge", "eqv", "star", "einv", "cell", "idtoeqv",
+    def locate(at: int, i: int) -> Span:
+        for m in _TOKEN_RE.finditer(text, at):
+            if m.lastgroup == "ident":
+                if i == 0:
+                    break
+                i -= 1
+        name = m.group("ident")
+        start = m.end() - len(name)
+        while line_starts[-1] <= start and (nl := text.find("\n", line_starts[-1])) >= 0:
+            line_starts.append(nl + 1)
+        line = bisect_right(line_starts, start)
+        return Span(line, start - line_starts[line - 1] + 1, len(name))
+
+    return locate
+
+
+# ---------------------------------------------------------------------------
+# statements
+
+# Each row statement: its keyword, then what each name must be, alternating
+# with the punctuation between names.  The token parser words its E101
+# diagnostics from this; the statement pass accepts exactly this punctuation.
+_TYPOID_STATEMENTS = {
+    "path": ("a path name", ":", "a term name", "->", "a term name"),
+    "comp": ("a path name", ".", "a path name", "=", "a path name"),
+    "pinv": ("a path name", "=", "a path name"),
+    "edge": ("an edge name", ":", "a term name", "~", "a term name"),
+    "eqv": ("a term name", "=", "an edge name"),
+    "star": ("an edge name", "*", "an edge name", "=", "an edge name"),
+    "einv": ("an edge name", "=", "an edge name"),
+    "cell": ("an edge name", "==", "an edge name"),
+    "idtoeqv": ("a path name", "=>", "an edge name"),
+}
+_MORPHISM_STATEMENTS = dict.fromkeys(("term", "path", "edge"), ("a name", "|->", "a name"))
+_HEADERS = {
+    "typoid": ("a typoid name",),
+    "morphism": ("a morphism name", ":", "a source typoid name", "->", "a target typoid name"),
 }
 
+
+@dataclass
+class _RawTypoid:
+    name: str
+    at: int  # offset of the block header; the name is its identifier 1
+    strictunits: bool = False
+    terms: list[tuple[list[str], int]] = field(default_factory=list)  # one per statement
+    # keyword -> rows (name, ..., offset of the statement); the name at index
+    # k of a row is identifier k + 1 of its statement
+    rows: dict[str, list[tuple]] = field(default_factory=lambda: {k: [] for k in _TYPOID_STATEMENTS})
+
+
+@dataclass
+class _RawMorphism:
+    name: str
+    source: str
+    target: str
+    at: int  # offset of the block header: identifiers 1, 2, 3 are the names
+    rows: dict[str, list[tuple]] = field(default_factory=lambda: {k: [] for k in _MORPHISM_STATEMENTS})
+
+
+def parse(text: str) -> ParseResult:
+    """Parse a document; on errors the diagnostics describe every problem
+    found and no document is produced."""
+    blocks = _scan(text)
+    if blocks is None:
+        return _assemble(*_parse_tokens(text), _locator(text))
+    return _assemble(blocks, [], _locator(text))
+
+
+_W = r"[ \t\r\n]*"
+_NAME = r"([A-Za-z_][A-Za-z0-9_]*)"
+_PUNCT = r"(\|->|->|==|=>|[.=*~:])"  # longest first, as in _TOKEN_RE
+_END = r"(?![A-Za-z0-9_])"
+# Blank space and comments, then one whole statement.  Each comment runs to
+# the end of its line and each name of `terms` follows blank space, so no
+# text matches two ways and a statement that fails, fails in linear time.
+_STATEMENT_RE = re.compile(
+    r"[ \t\r\n]*(?:#[^\n]*(?:\n[ \t\r\n]*|\Z))*(?:"
+    rf"([a-z]+){_END}{_W}{_NAME}{_W}{_PUNCT}{_W}{_NAME}(?:{_W}{_PUNCT}{_W}{_NAME})?{_W};"
+    rf"|terms{_END}((?:[ \t\r\n]+[A-Za-z_][A-Za-z0-9_]*)*){_W};"
+    r"|(\}|\Z|strictunits[ \t\r\n]*;)"
+    rf"|typoid{_END}{_W}{_NAME}{_W}\{{"
+    rf"|morphism{_END}{_W}{_NAME}{_W}:{_W}{_NAME}{_W}->{_W}{_NAME}{_W}\{{"
+    r")"
+)
+# keyword -> its punctuation as the two groups of _STATEMENT_RE read it
+_TYPOID_PUNCTS = {k: (*s[1::2], None)[:2] for k, s in _TYPOID_STATEMENTS.items()}
+_MORPHISM_PUNCTS = {k: (*s[1::2], None)[:2] for k, s in _MORPHISM_STATEMENTS.items()}
+
+
+def _scan(text: str) -> list[_RawTypoid | _RawMorphism] | None:
+    """The blocks of `text`, one match of _STATEMENT_RE per statement, or
+    None at the first statement that is not well formed: such a text goes
+    to the token parser, which words the diagnostics."""
+    blocks: list[_RawTypoid | _RawMorphism] = []
+    raw = None
+    rows: dict[str, list[tuple]] = {}
+    puncts: dict[str, tuple[str, str | None]] = {}  # of the open block's keywords
+    pos = 0
+    match = _STATEMENT_RE.match
+    while (m := match(text, pos)) is not None:
+        kw, x, p, y, q, z, terms, word, typoid, morphism, source, target = m.groups()
+        if kw is not None:
+            if puncts.get(kw) != (p, q):
+                return None
+            rows[kw].append((x, y, pos) if z is None else (x, y, z, pos))
+        elif terms is not None:
+            if puncts is not _TYPOID_PUNCTS:
+                return None
+            raw.terms.append((terms.split(), pos))
+        elif word is None:  # a block header
+            if raw is not None:
+                return None
+            if typoid is not None:
+                raw = _RawTypoid(typoid, pos)
+                rows, puncts = raw.rows, _TYPOID_PUNCTS
+            else:
+                raw = _RawMorphism(morphism, source, target, pos)
+                rows, puncts = raw.rows, _MORPHISM_PUNCTS
+        elif word == "}":
+            if raw is None:
+                return None
+            blocks.append(raw)
+            raw, rows, puncts = None, {}, {}
+        elif word:  # strictunits
+            if puncts is not _TYPOID_PUNCTS:
+                return None
+            raw.strictunits = True
+        else:  # end of text
+            return blocks if raw is None else None
+        pos = m.end()
+    return None
+
+
+# ---------------------------------------------------------------------------
+# token parser: the reference for the statement pass, and the only code
+# that words E101 diagnostics
 
 class _Parser:
     def __init__(self, tokens: list[_Token]):
@@ -229,6 +378,18 @@ class _Parser:
         self.error(tok.span, E_SYNTAX, f"expected {what}, found {tok.text or 'end of input'!r}")
         return None
 
+    def expect_names(self, shape: tuple[str, ...], end: str = ";") -> list[str] | None:
+        """The names of a statement shaped like `shape`, then `end`; None
+        after the first token that does not fit."""
+        names = []
+        for k, want in enumerate(shape):
+            tok = self.expect(want) if k % 2 else self.expect_ident(want)
+            if tok is None:
+                return None
+            if k % 2 == 0:
+                names.append(tok.text)
+        return names if self.expect(end) else None
+
     def skip_statement(self) -> None:
         while True:
             tok = self.peek()
@@ -252,254 +413,142 @@ class _Parser:
                     return
 
 
-def parse(text: str) -> ParseResult:
-    """Parse a document; on errors the diagnostics describe every problem
-    found and no document is produced."""
+def _parse_tokens(text: str) -> tuple[list[_RawTypoid | _RawMorphism], list[Diagnostic]]:
     tokens, lex_diags = _tokenize(text)
     parser = _Parser(tokens)
     parser.diagnostics.extend(lex_diags)
-    raw_typoids: list[_RawTypoid] = []
-    raw_morphisms: list[_RawMorphism] = []
-    order: list[tuple[str, str]] = []  # (kind, name) in declaration order
-    names_seen: dict[str, Span] = {}
-
+    blocks: list[_RawTypoid | _RawMorphism] = []
     while parser.peek().kind != "eof":
-        tok = parser.peek()
-        if tok.text == "typoid":
-            parser.advance()
-            raw = _parse_typoid_block(parser)
-            if raw is not None:
-                if raw.name in names_seen:
-                    parser.error(raw.span, E_DUPLICATE, f"duplicate declaration name {raw.name!r}")
-                else:
-                    names_seen[raw.name] = raw.span
-                    raw_typoids.append(raw)
-                    order.append(("typoid", raw.name))
-        elif tok.text == "morphism":
-            parser.advance()
-            raw = _parse_morphism_block(parser)
-            if raw is not None:
-                if raw.name in names_seen:
-                    parser.error(raw.span, E_DUPLICATE, f"duplicate declaration name {raw.name!r}")
-                else:
-                    names_seen[raw.name] = raw.span
-                    raw_morphisms.append(raw)
-                    order.append(("morphism", raw.name))
-        else:
+        tok = parser.advance()
+        if tok.text not in _HEADERS:
             parser.error(tok.span, E_SYNTAX, f"expected 'typoid' or 'morphism', found {tok.text!r}")
-            parser.advance()
-
-    entries_by_name: dict[str, TypoidEntry | MorphismEntry] = {}
-    for raw in raw_typoids:
-        entry = _assemble_typoid(raw, parser.diagnostics)
-        if entry is not None:
-            entries_by_name[raw.name] = entry
-    typoid_entries = {
-        name: e for name, e in entries_by_name.items() if isinstance(e, TypoidEntry)
-    }
-    for raw in raw_morphisms:
-        entry = _assemble_morphism(raw, typoid_entries, parser.diagnostics)
-        if entry is not None:
-            entries_by_name[raw.name] = entry
-
-    diagnostics = tuple(
-        sorted(parser.diagnostics, key=lambda d: (d.span.line, d.span.column, d.code))
-    )
-    if any(d.severity == "error" for d in diagnostics):
-        return ParseResult(document=None, diagnostics=diagnostics)
-    entries = tuple(entries_by_name[name] for _, name in order)
-    return ParseResult(document=Document(entries=entries), diagnostics=diagnostics)
-
-
-@dataclass
-class _RawTypoid:
-    name: str
-    span: Span
-    strictunits: bool
-    saw_terms: bool
-    terms: list[_Token]
-    paths: list[tuple[_Token, _Token, _Token]]                  # name, src, dst
-    comps: list[tuple[_Token, _Token, _Token]]                  # p, q, r
-    pinvs: list[tuple[_Token, _Token]]
-    edges: list[tuple[_Token, _Token, _Token]]
-    eqv_overrides: list[tuple[_Token, _Token]]
-    stars: list[tuple[_Token, _Token, _Token]]
-    einvs: list[tuple[_Token, _Token]]
-    cells: list[tuple[_Token, _Token]]
-    idtoeqvs: list[tuple[_Token, _Token]]
-
-
-@dataclass
-class _RawMorphism:
-    name: str
-    span: Span
-    source: _Token
-    target: _Token
-    term_rows: list[tuple[_Token, _Token]]
-    path_rows: list[tuple[_Token, _Token]]
-    edge_rows: list[tuple[_Token, _Token]]
-
-
-def _parse_typoid_block(p: _Parser) -> _RawTypoid | None:
-    name_tok = p.expect_ident("a typoid name")
-    if name_tok is None or p.expect("{") is None:
-        p.skip_block()
-        return None
-    raw = _RawTypoid(
-        name=name_tok.text, span=name_tok.span, strictunits=False, saw_terms=False,
-        terms=[], paths=[], comps=[], pinvs=[], edges=[],
-        eqv_overrides=[], stars=[], einvs=[], cells=[], idtoeqvs=[],
-    )
-    while True:
-        tok = p.peek()
-        if tok.text == "}":
-            p.advance()
-            return raw
-        if tok.kind == "eof":
-            p.error(tok.span, E_SYNTAX, "unterminated typoid block")
-            return raw
-        if tok.kind != "ident" or tok.text not in _TYPOID_KEYWORDS:
-            p.error(tok.span, E_SYNTAX, f"expected a typoid statement, found {tok.text!r}")
-            p.advance()
-            p.skip_statement()
             continue
-        p.advance()
+        header = parser.expect_names(_HEADERS[tok.text], "{")
+        if header is None:
+            parser.skip_block()
+        elif tok.text == "typoid":
+            blocks.append(_parse_block(parser, _RawTypoid(header[0], tok.offset)))
+        else:
+            blocks.append(_parse_block(parser, _RawMorphism(*header, tok.offset)))
+    return blocks, parser.diagnostics
+
+
+def _parse_block(p: _Parser, raw: _RawTypoid | _RawMorphism) -> _RawTypoid | _RawMorphism:
+    """The statements of a block after its `{`, and its `}`."""
+    typoid = isinstance(raw, _RawTypoid)
+    statements = _TYPOID_STATEMENTS if typoid else _MORPHISM_STATEMENTS
+    while (tok := p.advance()).text != "}":
+        if tok.kind == "eof":
+            p.error(tok.span, E_SYNTAX, f"unterminated {'typoid' if typoid else 'morphism'} block")
+            break
         before = len(p.diagnostics)
-        if tok.text == "strictunits":
+        if tok.text in statements:
+            names = p.expect_names(statements[tok.text])
+            if names is not None:
+                raw.rows[tok.text].append((*names, tok.offset))
+        elif typoid and tok.text == "strictunits":
             if p.expect(";"):
                 raw.strictunits = True
-        elif tok.text == "terms":
-            raw.saw_terms = True
+        elif typoid and tok.text == "terms":
+            names = []
             while p.peek().kind == "ident":
-                raw.terms.append(p.advance())
+                names.append(p.advance().text)
+            raw.terms.append((names, tok.offset))
             p.expect(";")
-        elif tok.text == "path":
-            n = p.expect_ident("a path name")
-            ok = n and p.expect(":")
-            a = p.expect_ident("a term name") if ok else None
-            ok = a and p.expect("->")
-            b = p.expect_ident("a term name") if ok else None
-            if b and p.expect(";"):
-                raw.paths.append((n, a, b))
-        elif tok.text == "comp":
-            x = p.expect_ident("a path name")
-            ok = x and p.expect(".")
-            y = p.expect_ident("a path name") if ok else None
-            ok = y and p.expect("=")
-            z = p.expect_ident("a path name") if ok else None
-            if z and p.expect(";"):
-                raw.comps.append((x, y, z))
-        elif tok.text == "pinv":
-            x = p.expect_ident("a path name")
-            ok = x and p.expect("=")
-            y = p.expect_ident("a path name") if ok else None
-            if y and p.expect(";"):
-                raw.pinvs.append((x, y))
-        elif tok.text == "edge":
-            n = p.expect_ident("an edge name")
-            ok = n and p.expect(":")
-            a = p.expect_ident("a term name") if ok else None
-            ok = a and p.expect("~")
-            b = p.expect_ident("a term name") if ok else None
-            if b and p.expect(";"):
-                raw.edges.append((n, a, b))
-        elif tok.text == "eqv":
-            a = p.expect_ident("a term name")
-            ok = a and p.expect("=")
-            e = p.expect_ident("an edge name") if ok else None
-            if e and p.expect(";"):
-                raw.eqv_overrides.append((a, e))
-        elif tok.text == "star":
-            x = p.expect_ident("an edge name")
-            ok = x and p.expect("*")
-            y = p.expect_ident("an edge name") if ok else None
-            ok = y and p.expect("=")
-            z = p.expect_ident("an edge name") if ok else None
-            if z and p.expect(";"):
-                raw.stars.append((x, y, z))
-        elif tok.text == "einv":
-            x = p.expect_ident("an edge name")
-            ok = x and p.expect("=")
-            y = p.expect_ident("an edge name") if ok else None
-            if y and p.expect(";"):
-                raw.einvs.append((x, y))
-        elif tok.text == "cell":
-            x = p.expect_ident("an edge name")
-            ok = x and p.expect("==")
-            y = p.expect_ident("an edge name") if ok else None
-            if y and p.expect(";"):
-                raw.cells.append((x, y))
-        elif tok.text == "idtoeqv":
-            x = p.expect_ident("a path name")
-            ok = x and p.expect("=>")
-            y = p.expect_ident("an edge name") if ok else None
-            if y and p.expect(";"):
-                raw.idtoeqvs.append((x, y))
+        else:
+            expected = "a typoid statement" if typoid else "'term', 'path' or 'edge'"
+            p.error(tok.span, E_SYNTAX, f"expected {expected}, found {tok.text!r}")
         if len(p.diagnostics) > before:
             p.skip_statement()
+    return raw
 
 
-def _parse_morphism_block(p: _Parser) -> _RawMorphism | None:
-    name_tok = p.expect_ident("a morphism name")
-    ok = name_tok and p.expect(":")
-    src = p.expect_ident("a source typoid name") if ok else None
-    ok = src and p.expect("->")
-    dst = p.expect_ident("a target typoid name") if ok else None
-    if not dst or p.expect("{") is None:
-        p.skip_block()
-        return None
-    raw = _RawMorphism(
-        name=name_tok.text, span=name_tok.span, source=src, target=dst,
-        term_rows=[], path_rows=[], edge_rows=[],
-    )
-    rows = {"term": raw.term_rows, "path": raw.path_rows, "edge": raw.edge_rows}
-    while True:
-        tok = p.peek()
-        if tok.text == "}":
-            p.advance()
-            return raw
-        if tok.kind == "eof":
-            p.error(tok.span, E_SYNTAX, "unterminated morphism block")
-            return raw
-        if tok.text not in rows:
-            p.error(tok.span, E_SYNTAX, f"expected 'term', 'path' or 'edge', found {tok.text!r}")
-            p.advance()
-            p.skip_statement()
-            continue
-        p.advance()
-        before = len(p.diagnostics)
-        x = p.expect_ident("a name")
-        ok = x and p.expect("|->")
-        y = p.expect_ident("a name") if ok else None
-        if y and p.expect(";"):
-            rows[tok.text].append((x, y))
-        if len(p.diagnostics) > before:
-            p.skip_statement()
+# ---------------------------------------------------------------------------
+# assembly: blocks from either parser become entries
+
+# E105 rows listed per comp or star table of one typoid; one more diagnostic
+# counts the rest, so a table declared without rows gets a bounded report.
+_MISSING_SHOWN = 100
 
 
-def _assemble_typoid(raw: _RawTypoid, diagnostics: list[Diagnostic]) -> TypoidEntry | None:
+def _assemble(
+    blocks: list[_RawTypoid | _RawMorphism],
+    diagnostics: list[Diagnostic],
+    locate: Callable[[int, int], Span],
+) -> ParseResult:
+    kept: dict[str, _RawTypoid | _RawMorphism] = {}  # by name, in declaration order
+    for raw in blocks:
+        if raw.name in kept:
+            message = f"duplicate declaration name {raw.name!r}"
+            diagnostics.append(Diagnostic("error", locate(raw.at, 1), E_DUPLICATE, message))
+        else:
+            kept[raw.name] = raw
+
+    typoid_entries: dict[str, TypoidEntry] = {}
+    for raw in kept.values():
+        if isinstance(raw, _RawTypoid):
+            entry = _assemble_typoid(raw, locate, diagnostics)
+            if entry is not None:
+                typoid_entries[raw.name] = entry
+    entries_by_name: dict[str, TypoidEntry | MorphismEntry] = dict(typoid_entries)
+    for raw in kept.values():
+        if isinstance(raw, _RawMorphism):
+            entry = _assemble_morphism(raw, typoid_entries, locate, diagnostics)
+            if entry is not None:
+                entries_by_name[raw.name] = entry
+
+    ordered = tuple(sorted(diagnostics, key=lambda d: (d.span.line, d.span.column, d.code)))
+    if any(d.severity == "error" for d in ordered):
+        return ParseResult(document=None, diagnostics=ordered)
+    entries = tuple(entries_by_name[name] for name in kept)
+    return ParseResult(document=Document(entries=entries), diagnostics=ordered)
+
+
+def _assemble_typoid(
+    raw: _RawTypoid, locate: Callable[[int, int], Span], diagnostics: list[Diagnostic]
+) -> TypoidEntry | None:
     errors_before = len(diagnostics)
+    span = locate(raw.at, 1)
 
-    def error(span: Span, code: str, message: str) -> None:
-        diagnostics.append(Diagnostic("error", span, code, message))
+    def error(where: Span, code: str, message: str) -> None:
+        diagnostics.append(Diagnostic("error", where, code, message))
 
-    if not raw.saw_terms:
-        error(raw.span, E_MISSING, f"typoid {raw.name!r} has no terms statement")
+    if not raw.terms:
+        error(span, E_MISSING, f"typoid {raw.name!r} has no terms statement")
     term_id: dict[str, int] = {}
     term_names: list[str] = []
-    for tok in raw.terms:
-        if tok.text in term_id:
-            error(tok.span, E_DUPLICATE, f"duplicate term {tok.text!r}")
-            continue
-        term_id[tok.text] = len(term_names)
-        term_names.append(tok.text)
+    for names, at in raw.terms:
+        for i, name in enumerate(names, 1):
+            if name in term_id:
+                error(locate(at, i), E_DUPLICATE, f"duplicate term {name!r}")
+                continue
+            term_id[name] = len(term_names)
+            term_names.append(name)
     n_terms = len(term_names)
 
-    def resolve(table: dict[str, int], tok: _Token, what: str) -> int | None:
-        got = table.get(tok.text)
-        if got is None:
-            error(tok.span, E_UNKNOWN, f"unknown {what} {tok.text!r}")
-        return got
+    def unknown(table: dict[str, int], row: tuple, what: str, first: int = 0, stop: int = -1) -> None:
+        """An E103 for each name of row[first:stop] that `table` lacks."""
+        for k, name in enumerate(row[first:stop], first):
+            if name not in table:
+                error(locate(row[-1], k + 1), E_UNKNOWN, f"unknown {what} {name!r}")
+
+    def report_missing(table, src, dst, names, what: str, op: str) -> None:
+        # Missing pairs are counted, not walked, so the listing stops at the
+        # cap.  After a failed eqv override a default row's pair need not
+        # compose, so only composable keys count as present.
+        out = _out_index(src, n_terms)
+        missing = sum(len(out[d]) for d in dst) - sum(dst[x] == src[y] for x, y in table)
+        pairs = ((x, y) for x in range(len(src)) for y in out[dst[x]] if (x, y) not in table)
+        for x, y in islice(pairs, min(missing, _MISSING_SHOWN)):
+            error(
+                span, E_MISSING,
+                f"missing {what} entry for {names[x]!r} {op} {names[y]!r} in typoid {raw.name!r}",
+            )
+        if missing > _MISSING_SHOWN:
+            error(
+                span, E_MISSING,
+                f"{missing - _MISSING_SHOWN} more missing {what} entries in typoid {raw.name!r}",
+            )
 
     # paths: refl first, then declarations
     path_id: dict[str, int] = {}
@@ -511,38 +560,41 @@ def _assemble_typoid(raw: _RawTypoid, diagnostics: list[Diagnostic]) -> TypoidEn
         path_names.append(f"refl_{name}")
         path_src.append(x)
         path_dst.append(x)
-    for n, a, b in raw.paths:
-        if n.text in path_id:
-            error(n.span, E_DUPLICATE, f"duplicate path {n.text!r}")
+    for row in raw.rows["path"]:
+        name, at = row[0], row[-1]
+        if name in path_id:
+            error(locate(at, 1), E_DUPLICATE, f"duplicate path {name!r}")
             continue
-        src = resolve(term_id, a, "term")
-        dst = resolve(term_id, b, "term")
-        if src is None or dst is None:
+        try:
+            src, dst = term_id[row[1]], term_id[row[2]]
+        except KeyError:
+            unknown(term_id, row, "term", 1)
             continue
-        path_id[n.text] = len(path_names)
-        path_names.append(n.text)
+        path_id[name] = len(path_names)
+        path_names.append(name)
         path_src.append(src)
         path_dst.append(dst)
     refl = tuple(range(n_terms))
     n_paths = len(path_names)
 
     comp: dict[tuple[int, int], int] = {}
-    declared_comp: set[tuple[int, int]] = set()
-    for xt, yt, zt in raw.comps:
-        x, y, z = resolve(path_id, xt, "path"), resolve(path_id, yt, "path"), resolve(path_id, zt, "path")
-        if x is None or y is None or z is None:
+    for row in raw.rows["comp"]:
+        xn, yn, zn, at = row
+        try:
+            x, y, z = path_id[xn], path_id[yn], path_id[zn]
+        except KeyError:
+            unknown(path_id, row, "path")
             continue
         if path_dst[x] != path_src[y]:
             error(
-                yt.span, E_ENDPOINTS,
-                f"paths {xt.text!r} and {yt.text!r} do not compose: "
-                f"{xt.text!r} ends at {term_names[path_dst[x]]!r} but {yt.text!r} starts at {term_names[path_src[y]]!r}",
+                locate(at, 2), E_ENDPOINTS,
+                f"paths {xn!r} and {yn!r} do not compose: "
+                f"{xn!r} ends at {term_names[path_dst[x]]!r} but {yn!r} starts at {term_names[path_src[y]]!r}",
             )
             continue
-        if (x, y) in declared_comp:
-            error(xt.span, E_CONFLICT, f"comp of {xt.text!r} and {yt.text!r} declared twice")
+        if (x, y) in comp:
+            error(locate(at, 1), E_CONFLICT, f"comp of {xn!r} and {yn!r} declared twice")
             continue
-        declared_comp.add((x, y))
         comp[(x, y)] = z
     for q in range(n_paths):
         for x in range(n_terms):
@@ -550,54 +602,52 @@ def _assemble_typoid(raw: _RawTypoid, diagnostics: list[Diagnostic]) -> TypoidEn
                 comp.setdefault((refl[x], q), q)
             if path_dst[q] == x:
                 comp.setdefault((q, refl[x]), q)
-    paths_from = _out_index(path_src, n_terms)
-    for x in range(n_paths):
-        for y in paths_from[path_dst[x]]:
-            if (x, y) not in comp:
-                error(
-                    raw.span, E_MISSING,
-                    f"missing comp entry for {path_names[x]!r} . {path_names[y]!r} in typoid {raw.name!r}",
-                )
+    report_missing(comp, path_src, path_dst, path_names, "comp", ".")
 
     inv_map: dict[int, int] = {}
-    for xt, yt in raw.pinvs:
-        x, y = resolve(path_id, xt, "path"), resolve(path_id, yt, "path")
-        if x is None or y is None:
+    for row in raw.rows["pinv"]:
+        try:
+            x, y = path_id[row[0]], path_id[row[1]]
+        except KeyError:
+            unknown(path_id, row, "path")
             continue
         if x in inv_map:
-            error(xt.span, E_CONFLICT, f"pinv of {xt.text!r} declared twice")
+            error(locate(row[-1], 1), E_CONFLICT, f"pinv of {row[0]!r} declared twice")
             continue
         inv_map[x] = y
     for x in range(n_terms):
         inv_map.setdefault(refl[x], refl[x])
     for x in range(n_paths):
         if x not in inv_map:
-            error(raw.span, E_MISSING, f"missing pinv entry for {path_names[x]!r} in typoid {raw.name!r}")
+            error(span, E_MISSING, f"missing pinv entry for {path_names[x]!r} in typoid {raw.name!r}")
             inv_map[x] = x
 
     # designated eqv edges: overrides are declared edges, the rest are implicit
-    override_edge: dict[int, _Token] = {}
-    for at, et in raw.eqv_overrides:
-        a = resolve(term_id, at, "term")
+    override_edge: dict[int, tuple[str, int]] = {}  # term -> (edge name, statement offset)
+    for row in raw.rows["eqv"]:
+        a = term_id.get(row[0])
         if a is None:
+            unknown(term_id, row, "term", 0, 1)
             continue
         if a in override_edge:
-            error(at.span, E_CONFLICT, f"eqv of term {at.text!r} designated twice")
+            error(locate(row[-1], 1), E_CONFLICT, f"eqv of term {row[0]!r} designated twice")
             continue
-        override_edge[a] = et
+        override_edge[a] = row[1:]
 
-    declared_edges: list[tuple[str, int, int, Span]] = []
-    declared_edge_names: dict[str, tuple[int, int, Span]] = {}
-    for n, a, b in raw.edges:
-        if n.text in declared_edge_names:
-            error(n.span, E_DUPLICATE, f"duplicate edge {n.text!r}")
+    declared_edges: list[tuple[str, int, int]] = []
+    declared_edge_names: dict[str, tuple[int, int, int]] = {}  # name -> src, dst, statement offset
+    for row in raw.rows["edge"]:
+        name, at = row[0], row[-1]
+        if name in declared_edge_names:
+            error(locate(at, 1), E_DUPLICATE, f"duplicate edge {name!r}")
             continue
-        src = resolve(term_id, a, "term")
-        dst = resolve(term_id, b, "term")
-        if src is None or dst is None:
+        try:
+            src, dst = term_id[row[1]], term_id[row[2]]
+        except KeyError:
+            unknown(term_id, row, "term", 1)
             continue
-        declared_edge_names[n.text] = (src, dst, n.span)
-        declared_edges.append((n.text, src, dst, n.span))
+        declared_edge_names[name] = (src, dst, at)
+        declared_edges.append((name, src, dst))
 
     edge_id: dict[str, int] = {}
     edge_names: list[str] = []
@@ -606,10 +656,10 @@ def _assemble_typoid(raw: _RawTypoid, diagnostics: list[Diagnostic]) -> TypoidEn
     implicit_eqv: set[int] = set()
     for x, name in enumerate(term_names):
         if x in override_edge:
-            et = override_edge[x]
-            info = declared_edge_names.get(et.text)
+            en, at = override_edge[x]
+            info = declared_edge_names.get(en)
             if info is None:
-                error(et.span, E_UNKNOWN, f"unknown edge {et.text!r}")
+                error(locate(at, 2), E_UNKNOWN, f"unknown edge {en!r}")
                 implicit_eqv.add(x)
                 edge_id[f"eqv_{name}"] = x
                 edge_names.append(f"eqv_{name}")
@@ -618,24 +668,24 @@ def _assemble_typoid(raw: _RawTypoid, diagnostics: list[Diagnostic]) -> TypoidEn
                 continue
             src, dst, _ = info
             if (src, dst) != (x, x):
-                error(et.span, E_ENDPOINTS, f"designated eqv edge {et.text!r} is not an edge {name} ~ {name}")
+                error(locate(at, 2), E_ENDPOINTS, f"designated eqv edge {en!r} is not an edge {name} ~ {name}")
                 continue
-            edge_id[et.text] = x
-            edge_names.append(et.text)
+            edge_id[en] = x
+            edge_names.append(en)
             edge_src.append(x)
             edge_dst.append(x)
         else:
             implicit_eqv.add(x)
             if f"eqv_{name}" in declared_edge_names:
                 error(
-                    declared_edge_names[f"eqv_{name}"][2], E_DUPLICATE,
+                    locate(declared_edge_names[f"eqv_{name}"][2], 1), E_DUPLICATE,
                     f"edge name eqv_{name} collides with the implicit designated edge",
                 )
             edge_id[f"eqv_{name}"] = x
             edge_names.append(f"eqv_{name}")
             edge_src.append(x)
             edge_dst.append(x)
-    for name, src, dst, span in declared_edges:
+    for name, src, dst in declared_edges:
         if name in edge_id:
             continue  # an override already placed it
         edge_id[name] = len(edge_names)
@@ -646,21 +696,19 @@ def _assemble_typoid(raw: _RawTypoid, diagnostics: list[Diagnostic]) -> TypoidEn
     n_edges = len(edge_names)
 
     star: dict[tuple[int, int], int] = {}
-    declared_star: set[tuple[int, int]] = set()
-    for xt, yt, zt in raw.stars:
-        x, y, z = resolve(edge_id, xt, "edge"), resolve(edge_id, yt, "edge"), resolve(edge_id, zt, "edge")
-        if x is None or y is None or z is None:
+    for row in raw.rows["star"]:
+        xn, yn, zn, at = row
+        try:
+            x, y, z = edge_id[xn], edge_id[yn], edge_id[zn]
+        except KeyError:
+            unknown(edge_id, row, "edge")
             continue
         if edge_dst[x] != edge_src[y]:
-            error(
-                yt.span, E_ENDPOINTS,
-                f"edges {xt.text!r} and {yt.text!r} do not compose",
-            )
+            error(locate(at, 2), E_ENDPOINTS, f"edges {xn!r} and {yn!r} do not compose")
             continue
-        if (x, y) in declared_star:
-            error(xt.span, E_CONFLICT, f"star of {xt.text!r} and {yt.text!r} declared twice")
+        if (x, y) in star:
+            error(locate(at, 1), E_CONFLICT, f"star of {xn!r} and {yn!r} declared twice")
             continue
-        declared_star.add((x, y))
         star[(x, y)] = z
     absorbing = {
         x for x in range(n_terms) if x in implicit_eqv or raw.strictunits
@@ -670,57 +718,57 @@ def _assemble_typoid(raw: _RawTypoid, diagnostics: list[Diagnostic]) -> TypoidEn
             star.setdefault((eqv[edge_src[e]], e), e)
         if edge_dst[e] in absorbing:
             star.setdefault((e, eqv[edge_dst[e]]), e)
-    edges_from = _out_index(edge_src, n_terms)
-    for x in range(n_edges):
-        for y in edges_from[edge_dst[x]]:
-            if (x, y) not in star:
-                error(
-                    raw.span, E_MISSING,
-                    f"missing star entry for {edge_names[x]!r} * {edge_names[y]!r} in typoid {raw.name!r}",
-                )
+    report_missing(star, edge_src, edge_dst, edge_names, "star", "*")
 
     einv_map: dict[int, int] = {}
-    for xt, yt in raw.einvs:
-        x, y = resolve(edge_id, xt, "edge"), resolve(edge_id, yt, "edge")
-        if x is None or y is None:
+    for row in raw.rows["einv"]:
+        try:
+            x, y = edge_id[row[0]], edge_id[row[1]]
+        except KeyError:
+            unknown(edge_id, row, "edge")
             continue
         if x in einv_map:
-            error(xt.span, E_CONFLICT, f"einv of {xt.text!r} declared twice")
+            error(locate(row[-1], 1), E_CONFLICT, f"einv of {row[0]!r} declared twice")
             continue
         einv_map[x] = y
     for x in absorbing:
         einv_map.setdefault(eqv[x], eqv[x])
     for e in range(n_edges):
         if e not in einv_map:
-            error(raw.span, E_MISSING, f"missing einv entry for {edge_names[e]!r} in typoid {raw.name!r}")
+            error(span, E_MISSING, f"missing einv entry for {edge_names[e]!r} in typoid {raw.name!r}")
             einv_map[e] = e
 
     partition = CellPartition(range(n_edges))
-    for xt, yt in raw.cells:
-        x, y = resolve(edge_id, xt, "edge"), resolve(edge_id, yt, "edge")
-        if x is None or y is None:
+    for row in raw.rows["cell"]:
+        try:
+            x, y = edge_id[row[0]], edge_id[row[1]]
+        except KeyError:
+            unknown(edge_id, row, "edge")
             continue
         if (edge_src[x], edge_dst[x]) != (edge_src[y], edge_dst[y]):
-            error(yt.span, E_ENDPOINTS, f"edges {xt.text!r} and {yt.text!r} are not parallel")
+            error(locate(row[-1], 2), E_ENDPOINTS, f"edges {row[0]!r} and {row[1]!r} are not parallel")
             continue
         partition.union(x, y)
     labels = partition.labels()
     cell = tuple(labels[e] for e in range(n_edges))
 
     idtoeqv_map: dict[int, int] = {}
-    for xt, yt in raw.idtoeqvs:
-        x, y = resolve(path_id, xt, "path"), resolve(edge_id, yt, "edge")
-        if x is None or y is None:
+    for row in raw.rows["idtoeqv"]:
+        try:
+            x, y = path_id[row[0]], edge_id[row[1]]
+        except KeyError:
+            unknown(path_id, row, "path", 0, 1)
+            unknown(edge_id, row, "edge", 1)
             continue
         if x in idtoeqv_map:
-            error(xt.span, E_CONFLICT, f"idtoeqv of {xt.text!r} declared twice")
+            error(locate(row[-1], 1), E_CONFLICT, f"idtoeqv of {row[0]!r} declared twice")
             continue
         idtoeqv_map[x] = y
     for x in range(n_terms):
         idtoeqv_map.setdefault(refl[x], eqv[x])
     for p in range(n_paths):
         if p not in idtoeqv_map:
-            error(raw.span, E_MISSING, f"missing idtoeqv entry for {path_names[p]!r} in typoid {raw.name!r}")
+            error(span, E_MISSING, f"missing idtoeqv entry for {path_names[p]!r} in typoid {raw.name!r}")
             idtoeqv_map[p] = 0
 
     if len(diagnostics) > errors_before:
@@ -752,29 +800,31 @@ def _assemble_typoid(raw: _RawTypoid, diagnostics: list[Diagnostic]) -> TypoidEn
         term_names=tuple(term_names),
         path_names=tuple(path_names),
         edge_names=tuple(edge_names),
-        span=raw.span,
+        span=span,
     )
 
 
 def _assemble_morphism(
     raw: _RawMorphism,
     typoids: dict[str, TypoidEntry],
+    locate: Callable[[int, int], Span],
     diagnostics: list[Diagnostic],
 ) -> MorphismEntry | None:
     errors_before = len(diagnostics)
 
-    def error(span: Span, code: str, message: str) -> None:
-        diagnostics.append(Diagnostic("error", span, code, message))
+    def error(where: Span, code: str, message: str) -> None:
+        diagnostics.append(Diagnostic("error", where, code, message))
 
-    src_entry = typoids.get(raw.source.text)
-    dst_entry = typoids.get(raw.target.text)
+    src_entry = typoids.get(raw.source)
+    dst_entry = typoids.get(raw.target)
     if src_entry is None:
-        error(raw.source.span, E_UNRESOLVED, f"unresolved typoid {raw.source.text!r}")
+        error(locate(raw.at, 2), E_UNRESOLVED, f"unresolved typoid {raw.source!r}")
     if dst_entry is None:
-        error(raw.target.span, E_UNRESOLVED, f"unresolved typoid {raw.target.text!r}")
+        error(locate(raw.at, 3), E_UNRESOLVED, f"unresolved typoid {raw.target!r}")
     if src_entry is None or dst_entry is None:
         return None
     src, dst = src_entry.typoid, dst_entry.typoid
+    span = locate(raw.at, 1)
 
     def index(names: tuple[str, ...]) -> dict[str, int]:
         return {n: i for i, n in enumerate(names)}
@@ -787,47 +837,47 @@ def _assemble_morphism(
         rows, src_index, dst_index, what: str
     ) -> dict[int, int]:
         out: dict[int, int] = {}
-        for xt, yt in rows:
-            x = src_index.get(xt.text)
+        for xn, yn, at in rows:
+            x = src_index.get(xn)
             if x is None:
-                error(xt.span, E_UNKNOWN, f"unknown {what} {xt.text!r} in {raw.source.text!r}")
+                error(locate(at, 1), E_UNKNOWN, f"unknown {what} {xn!r} in {raw.source!r}")
                 continue
-            y = dst_index.get(yt.text)
+            y = dst_index.get(yn)
             if y is None:
-                error(yt.span, E_UNKNOWN, f"unknown {what} {yt.text!r} in {raw.target.text!r}")
+                error(locate(at, 2), E_UNKNOWN, f"unknown {what} {yn!r} in {raw.target!r}")
                 continue
             if x in out:
-                error(xt.span, E_CONFLICT, f"{what} {xt.text!r} mapped twice")
+                error(locate(at, 1), E_CONFLICT, f"{what} {xn!r} mapped twice")
                 continue
             out[x] = y
         return out
 
-    term_map = rows_to_map(raw.term_rows, src_terms, dst_terms, "term")
+    term_map = rows_to_map(raw.rows["term"], src_terms, dst_terms, "term")
     for x in range(src.term_count):
         if x not in term_map:
             error(
-                raw.span, E_MISSING,
+                span, E_MISSING,
                 f"missing term row for {src_entry.term_names[x]!r} in morphism {raw.name!r}",
             )
     if len(diagnostics) > errors_before:
         return None
 
-    path_map = rows_to_map(raw.path_rows, src_paths, dst_paths, "path")
+    path_map = rows_to_map(raw.rows["path"], src_paths, dst_paths, "path")
     for x in range(src.term_count):
         path_map.setdefault(src.base.refl[x], dst.base.refl[term_map[x]])
     for p in range(src.base.path_count):
         if p not in path_map:
             error(
-                raw.span, E_MISSING,
+                span, E_MISSING,
                 f"missing path row for {src_entry.path_names[p]!r} in morphism {raw.name!r}",
             )
-    edge_map = rows_to_map(raw.edge_rows, src_edges, dst_edges, "edge")
+    edge_map = rows_to_map(raw.rows["edge"], src_edges, dst_edges, "edge")
     for x in range(src.term_count):
         edge_map.setdefault(src.layer.eqv[x], dst.layer.eqv[term_map[x]])
     for e in range(src.layer.edge_count):
         if e not in edge_map:
             error(
-                raw.span, E_MISSING,
+                span, E_MISSING,
                 f"missing edge row for {src_entry.edge_names[e]!r} in morphism {raw.name!r}",
             )
     if len(diagnostics) > errors_before:
@@ -843,9 +893,9 @@ def _assemble_morphism(
     )
     return MorphismEntry(
         morphism=morphism,
-        source_name=raw.source.text,
-        target_name=raw.target.text,
-        span=raw.span,
+        source_name=raw.source,
+        target_name=raw.target,
+        span=span,
     )
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 
 from typoid import cli
-from typoid.dsl import parse
+from typoid.dsl import _MISSING_SHOWN, parse
 
 UNIT = "typoid U {\n  terms x ;\n}\n"
 TWOEDGE = "typoid T {\n  terms x ;\n  edge e : x ~ x ;\n  star e * e = eqv_x ;\n  einv e = e ;\n}\n"
@@ -254,3 +254,21 @@ def test_univalence_spends_one_budget_across_validation_and_decision(tmp_path, c
     code, report = run(capsys, "univalence", str(f), "--typoid", "A")
     assert code == 3
     assert report["result"] == "resource-limit"
+
+
+def test_missing_star_rows_are_reported_up_to_a_cap(tmp_path, capsys):
+    # one term, 700 edges and no star rows: 490,000 composable pairs lack one
+    f = tmp_path / "nostar.typoid"
+    f.write_text(
+        "typoid A {\n  terms x ;\n"
+        + "".join(f"  edge e{k} : x ~ x ;\n  einv e{k} = e{k} ;\n" for k in range(700))
+        + "}\n"
+    )
+    code = cli.main(["validate", str(f)])
+    out = capsys.readouterr().out
+    assert code == 2
+    assert len(out) < 100_000
+    messages = [v["message"] for v in json.loads(out)["violations"]]
+    assert len(messages) == _MISSING_SHOWN + 1
+    assert messages[0] == "missing star entry for 'e0' * 'e0' in typoid 'A'"
+    assert messages[-1] == f"{490_000 - _MISSING_SHOWN} more missing star entries in typoid 'A'"

@@ -314,7 +314,6 @@ def test_base_predicates():
     assert T.is_prop(T.codiscrete_groupoid(3))
     assert not T.is_prop(T.discrete_groupoid(2))
     assert T.is_prop(T.discrete_groupoid(1))
-    assert T.is_set(T.cyclic_groupoid(2))
     assert T.singleton_homs(T.codiscrete_groupoid(2))
     assert not T.singleton_homs(T.cyclic_groupoid(2))
     assert not T.singleton_homs(T.discrete_groupoid(2))

@@ -2,7 +2,14 @@
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from functools import lru_cache
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 import typoid as T
+from typoid import dsl
 from typoid.dsl import (
     E_CONFLICT,
     E_DUPLICATE,
@@ -18,6 +25,7 @@ from typoid.dsl import (
 )
 
 from corpus import full_stock, stock_products
+from small_models import family
 
 Z2_SOURCE = """\
 typoid Z2 {
@@ -339,3 +347,125 @@ def test_unexpected_characters_pinned():
 def test_trailing_whitespace_and_empty_text_end_in_eof():
     assert _tokens("x  \t ") == ([("ident", "x", 1, 1), ("eof", "", 1, 6)], [])
     assert _tokens("") == ([("eof", "", 1, 1)], [])
+
+
+# -- statement pass against the token parser ----------------------------------
+
+# Well formed, so read by the statement pass, but with a diagnostic of every
+# kind the assembly words, on statements spread over lines, after comments.
+WELL_FORMED_ERRORS_SOURCE = """\
+# head
+typoid A {\r
+  terms x y ;  terms x\r
+    z v ;
+  path p : x -> w ;  path p : x -> y ;
+  path q
+    : y -> x ;  path q : x -> x ;
+  comp p . q = r ;  comp p . p = p ;  comp refl_x . p = p ;  comp refl_x . p = p ;
+  pinv p = q ;  pinv p = p ;  pinv nope = p ;
+  edge e : x ~ y ;  edge e : x ~ x ;  edge eqv_y : y ~ y ;  edge u : x ~ x ;
+  edge f : y ~ x ;
+  eqv x = u ;  eqv x = e ;  eqv w = u ;  eqv z = e ;  eqv v = g ;
+  star e * e = f ;  star u * u = u ;  star u * u = e ;  star g * u = u ;
+  einv e = f ;  einv e = e ;  einv g = e ;
+  cell e == f ;  cell u == g ;
+  idtoeqv p => e ;  idtoeqv p => f ;  idtoeqv q => g ;  idtoeqv r => f ;
+}
+typoid A { terms a ; }
+typoid B { strictunits ; terms b ; }
+typoid C {
+  terms c ;  path p : c -> c ;  comp p . p = refl_c ;  pinv p = p ;  idtoeqv p => eqv_c ;
+}
+morphism m : B -> D { term b |-> c ; }
+morphism n : B -> C { term b |-> c ;  term b |-> c ;  term a |-> c ;  term b |-> a ; }
+morphism o : B -> C { term b |-> c ;  path refl_a |-> p ;  edge eqv_b |-> e ; }
+morphism k : C -> B {
+  term c |-> b ;
+}
+"""
+
+
+@lru_cache(maxsize=1)
+def _documents() -> tuple[str, ...]:
+    """Serialized family() members, stock products with their projections,
+    and the source above."""
+    texts = [serialize(document_for([t])) for t in family()[::7]]
+    for prod, prov in list(stock_products().values())[::5]:
+        a, b = prov.factors
+        texts.append(serialize(document_for([prod, a, b], T.projections(prod, prov))))
+    return (*texts, WELL_FORMED_ERRORS_SOURCE)
+
+
+def _token_locator(text: str):
+    """Spans straight from the tokenizer: identifier `i` of the statement at
+    offset `at`."""
+    idents = [t for t in _tokenize(text)[0] if t.kind == "ident"]
+    offsets = [t.offset for t in idents]
+    return lambda at, i: idents[bisect_left(offsets, at) + i].span
+
+
+def _same_as_token_parser(text: str) -> None:
+    fast = parse(text)
+    reference = dsl._assemble(*dsl._parse_tokens(text), _token_locator(text))
+    assert fast.ok == reference.ok
+    assert fast.diagnostics == reference.diagnostics
+    if fast.ok:
+        assert fast.document.structurally_equal(reference.document)
+        for mine, theirs in zip(fast.document.entries, reference.document.entries):
+            assert mine.span == theirs.span
+            if isinstance(mine, dsl.TypoidEntry):
+                assert mine.term_names == theirs.term_names
+                assert mine.path_names == theirs.path_names
+                assert mine.edge_names == theirs.edge_names
+
+
+def test_statement_pass_reads_well_formed_documents_like_the_token_parser():
+    assert any("morphism" in text for text in _documents())
+    # pinned, since both parsers share the assembler that places these spans
+    assert [
+        (d.span.line, d.span.column, d.code) for d in parse(WELL_FORMED_ERRORS_SOURCE).diagnostics
+    ] == [
+        (2, 8, "E105"), (2, 8, "E105"), (2, 8, "E105"), (2, 8, "E105"), (2, 8, "E105"),
+        (2, 8, "E105"), (2, 8, "E105"), (2, 8, "E105"), (2, 8, "E105"), (2, 8, "E105"),
+        (2, 8, "E105"), (2, 8, "E105"), (3, 22, "E102"), (5, 17, "E103"), (7, 22, "E102"),
+        (8, 16, "E103"), (8, 30, "E104"), (8, 67, "E106"), (9, 22, "E106"),
+        (9, 36, "E103"), (10, 26, "E102"), (10, 44, "E102"), (12, 20, "E106"),
+        (12, 33, "E103"), (12, 50, "E104"), (12, 63, "E103"), (13, 12, "E104"),
+        (13, 44, "E106"), (13, 62, "E103"), (14, 22, "E106"), (14, 36, "E103"),
+        (15, 13, "E104"), (15, 28, "E103"), (16, 29, "E106"), (16, 52, "E103"),
+        (16, 65, "E103"), (18, 8, "E102"), (23, 19, "E107"), (24, 44, "E106"),
+        (24, 60, "E103"), (24, 82, "E103"), (25, 44, "E103"), (25, 75, "E103"),
+        (26, 10, "E105"),
+    ]
+    for text in _documents():
+        assert dsl._scan(text) is not None  # well-formed text never falls back
+        _same_as_token_parser(text)
+
+
+_PIECES = (
+    *" \t\r\n#;{}:.=*~|->_a1", "\f",
+    "terms", "path", "comp", "pinv", "edge", "eqv", "star", "einv", "cell", "idtoeqv",
+    "strictunits", "typoid", "morphism", "term",
+)
+
+
+@st.composite
+def _mutated_documents(draw) -> str:
+    text = draw(st.sampled_from(_documents()))
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(text)))
+        piece = draw(st.sampled_from(_PIECES))
+        op = draw(st.sampled_from(("insert", "delete", "replace")))
+        if op == "insert":
+            text = text[:i] + piece + text[i:]
+        elif op == "delete":
+            text = text[:i] + text[i + draw(st.integers(1, 4)):]
+        else:
+            text = text[:i] + piece + text[i + 1:]
+    return text
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_mutated_documents())
+def test_statement_pass_agrees_with_token_parser_on_mutations(text):
+    _same_as_token_parser(text)

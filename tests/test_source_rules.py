@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import warnings
 from pathlib import Path
 
 import typoid
@@ -20,3 +21,11 @@ def test_library_has_no_assert_statements():
     ]
     assert len(SOURCES) > 1
     assert found == []
+
+
+def test_library_compiles_without_warnings():
+    # an invalid escape such as "\}" in a regex literal only warns
+    for path in SOURCES:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            compile(path.read_text(encoding="utf-8"), str(path), "exec")
