@@ -406,30 +406,34 @@ def _cmd_induce(args) -> int:
     return EXIT_OK if report.valid else EXIT_PROPERTY
 
 
+# kind -> base groupoid, name prefix, what its one argument is, and the
+# composable path triples of the result as a function of that argument
+_EQUALITY_GENERATORS = {
+    "equality": (cyclic_groupoid, "eq", "the cyclic order", lambda n: n**3),
+    "discrete": (discrete_groupoid, "disc", "the term count", lambda n: n),
+    "prop": (codiscrete_groupoid, "prop", "the term count", lambda n: n**4),
+}
+
+
 def _cmd_gen(args) -> int:
     kind = args.kind
     params = args.args
-    if kind == "equality":
-        if len(params) != 1:
-            raise _InputError("gen equality takes one argument: the cyclic order")
-        t = equality_typoid(cyclic_groupoid(int(params[0])), name=f"eq{params[0]}")
-        meta = {"kind": "generator", "generator": "equality", "args": [int(params[0])]}
-    elif kind == "discrete":
-        if len(params) != 1:
-            raise _InputError("gen discrete takes one argument: the term count")
-        t = equality_typoid(discrete_groupoid(int(params[0])), name=f"disc{params[0]}")
-        meta = {"kind": "generator", "generator": "discrete", "args": [int(params[0])]}
-    elif kind == "prop":
-        if len(params) != 1:
-            raise _InputError("gen prop takes one argument: the term count")
-        t = equality_typoid(codiscrete_groupoid(int(params[0])), name=f"prop{params[0]}")
-        meta = {"kind": "generator", "generator": "prop", "args": [int(params[0])]}
-    elif kind == "universe":
+    if kind == "universe":
         if not params:
             raise _InputError("gen universe takes the set cardinalities")
         sizes = [int(p) for p in params]
         t = universe_typoid(sizes)
         meta = {"kind": "generator", "generator": "universe", "args": sizes}
+    elif kind in _EQUALITY_GENERATORS:
+        groupoid, prefix, argument, triples = _EQUALITY_GENERATORS[kind]
+        if len(params) != 1:
+            raise _InputError(f"gen {kind} takes one argument: {argument}")
+        n = int(params[0])
+        # validation spends one law instance per composable triple, so a size
+        # the budget cannot pay for is refused before its tables are built
+        Budget().spend(triples(max(n, 0)))
+        t = equality_typoid(groupoid(n), name=f"{prefix}{params[0]}")
+        meta = {"kind": "generator", "generator": kind, "args": [n]}
     else:
         raise _InputError(f"unknown generator {kind!r}")
     _write_construction(args.out, t, meta)

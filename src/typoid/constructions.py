@@ -156,6 +156,11 @@ def equality_typoid(g: FiniteGroupoid, name: str = "eq") -> Typoid:
     if not report.valid:
         first = report.violations[0]
         raise ValueError(f"groupoid is invalid: {first.law} {first.detail}")
+    return _equality(g, name)
+
+
+def _equality(g: FiniteGroupoid, name: str) -> Typoid:
+    """The equality typoid of a valid groupoid, in canonical id layout."""
     layer = EquivalenceLayer(
         term_count=g.term_count,
         edge_src=g.path_src,
@@ -703,15 +708,4 @@ def universe_typoid(
         comp=comp,
         inv=tuple(inv),
     )
-    layer = EquivalenceLayer(
-        term_count=len(sets),
-        edge_src=base.path_src,
-        edge_dst=base.path_dst,
-        eqv=identity,
-        star=dict(comp),
-        einv=base.inv,
-        cell=tuple(range(len(perms))),
-    )
-    t = Typoid(name=name, base=base, layer=layer, idtoeqv=tuple(range(len(perms))))
-    out, _, _ = _renumber(t)
-    return out
+    return _equality(base, name)

@@ -597,11 +597,8 @@ def _assemble_typoid(
             continue
         comp[(x, y)] = z
     for q in range(n_paths):
-        for x in range(n_terms):
-            if path_src[q] == x:
-                comp.setdefault((refl[x], q), q)
-            if path_dst[q] == x:
-                comp.setdefault((q, refl[x]), q)
+        comp.setdefault((refl[path_src[q]], q), q)
+        comp.setdefault((q, refl[path_dst[q]]), q)
     report_missing(comp, path_src, path_dst, path_names, "comp", ".")
 
     inv_map: dict[int, int] = {}

@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
-from .model import Budget, Typoid, ValidationReport, Violation
+from .model import Budget, Typoid, ValidationReport, Violation, _constant_on_cells
 
 
 @dataclass(frozen=True)
@@ -39,51 +39,30 @@ def validate_morphism(
     violations: list[Violation] = []
     counts: dict[str, int] = {}
 
-    structural = True
-    if len(m.term_map) != src.term_count:
-        violations.append(
-            Violation("Bookkeeping", (), f"term map has {len(m.term_map)} entries for {src.term_count} terms")
-        )
-        structural = False
-    if len(m.path_map) != src.base.path_count:
-        violations.append(
-            Violation("Bookkeeping", (), f"path map has {len(m.path_map)} entries for {src.base.path_count} paths")
-        )
-        structural = False
-    if len(m.edge_map) != src.layer.edge_count:
-        violations.append(
-            Violation("Bookkeeping", (), f"edge map has {len(m.edge_map)} entries for {src.layer.edge_count} edges")
-        )
-        structural = False
-    if structural and not all(0 <= y < dst.term_count for y in m.term_map):
+    for what, table, count in (
+        ("term", m.term_map, src.term_count),
+        ("path", m.path_map, src.base.path_count),
+        ("edge", m.edge_map, src.layer.edge_count),
+    ):
+        if len(table) != count:
+            violations.append(
+                Violation("Bookkeeping", (), f"{what} map has {len(table)} entries for {count} {what}s")
+            )
+    if not violations and not all(0 <= y < dst.term_count for y in m.term_map):
         violations.append(Violation("Bookkeeping", (), "term map value out of range"))
-        structural = False
-    if not structural:
+    if violations:
         return ValidationReport.collect(violations, counts)
 
-    for p in range(src.base.path_count):
-        q = m.path_map[p]
-        if not 0 <= q < dst.base.path_count:
-            violations.append(Violation("Bookkeeping", (p,), f"path {p} maps to out-of-range path {q}"))
-            structural = False
-        elif (dst.base.path_src[q], dst.base.path_dst[q]) != (
-            m.term_map[src.base.path_src[p]],
-            m.term_map[src.base.path_dst[p]],
-        ):
-            violations.append(Violation("Bookkeeping", (p, q), f"image of path {p} has wrong endpoints"))
-            structural = False
-    for e in range(src.layer.edge_count):
-        d = m.edge_map[e]
-        if not 0 <= d < dst.layer.edge_count:
-            violations.append(Violation("Bookkeeping", (e,), f"edge {e} maps to out-of-range edge {d}"))
-            structural = False
-        elif (dst.layer.edge_src[d], dst.layer.edge_dst[d]) != (
-            m.term_map[src.layer.edge_src[e]],
-            m.term_map[src.layer.edge_dst[e]],
-        ):
-            violations.append(Violation("Bookkeeping", (e, d), f"image of edge {e} has wrong endpoints"))
-            structural = False
-    if not structural:
+    for what, table, (from_src, from_dst), (to_src, to_dst) in (
+        ("path", m.path_map, (src.base.path_src, src.base.path_dst), (dst.base.path_src, dst.base.path_dst)),
+        ("edge", m.edge_map, (src.layer.edge_src, src.layer.edge_dst), (dst.layer.edge_src, dst.layer.edge_dst)),
+    ):
+        for i, j in enumerate(table):
+            if not 0 <= j < len(to_src):
+                violations.append(Violation("Bookkeeping", (i,), f"{what} {i} maps to out-of-range {what} {j}"))
+            elif (to_src[j], to_dst[j]) != (m.term_map[from_src[i]], m.term_map[from_dst[i]]):
+                violations.append(Violation("Bookkeeping", (i, j), f"image of {what} {i} has wrong endpoints"))
+    if violations:
         return ValidationReport.collect(violations, counts)
 
     if check_base:
@@ -130,19 +109,10 @@ def validate_morphism(
             )
     counts["CompPres"] = comp
 
-    cellp = 0
-    for members in src.layer.class_members.values():
-        for e in members:
-            for d in members:
-                cellp += 1
-                if dcell[m.edge_map[e]] != dcell[m.edge_map[d]]:
-                    violations.append(
-                        Violation(
-                            "CellPres",
-                            (e, d),
-                            f"{e} and {d} share a cell but their images do not",
-                        )
-                    )
+    cellp, bad = _constant_on_cells(
+        src.layer, [dcell[d] for d in m.edge_map], "CellPres", "{0} and {1} share a cell but their images do not"
+    )
+    violations += bad
     counts["CellPres"] = cellp
     budget.spend(unit + comp + cellp)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import Budget, Typoid, ValidationReport, Violation, validate_typoid
+from .model import Budget, Typoid, ValidationReport, Violation, _constant_on_cells, validate_typoid
 from .morphisms import TypoidMorphism
 
 
@@ -144,15 +144,8 @@ def verify_certificate(
             )
     counts["RoundTrip2"] = rt2
 
-    cong = 0
-    for members in layer.class_members.values():
-        for e in members:
-            for d in members:
-                cong += 1
-                if c.ua[e] != c.ua[d]:
-                    violations.append(
-                        Violation("UaCong", (e, d), f"{e} and {d} share a cell but map to different paths")
-                    )
+    cong, bad = _constant_on_cells(layer, c.ua, "UaCong", "{0} and {1} share a cell but map to different paths")
+    violations += bad
     counts["UaCong"] = cong
 
     strict = all(c.ua[layer.eqv[x]] == base.refl[x] for x in range(t.term_count))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 
 from typoid import cli
 from typoid.dsl import _MISSING_SHOWN, parse
@@ -199,6 +200,20 @@ def test_gen_writes_parseable_files(tmp_path, capsys):
         assert result.ok
         sidecar = json.loads((tmp_path / f"{name}.typoid.prov.json").read_text())
         assert sidecar["kind"] == "generator"
+
+
+def test_gen_refuses_sizes_the_budget_cannot_validate(tmp_path, capsys):
+    # N^2 comp rows for equality, N^3 for prop and N for discrete: refused
+    # before any table is built
+    for argv in (["equality", "1000000"], ["prop", "10000"], ["discrete", "100000000"]):
+        out = tmp_path / f"{argv[0]}.typoid"
+        start = time.perf_counter()
+        code, report = run(capsys, "gen", *argv, "-o", str(out))
+        elapsed = time.perf_counter() - start
+        assert code == 3, argv
+        assert report["violations"][0]["bound"] == "TYPOID_MAX_CHECKS"
+        assert elapsed < 1.0, argv
+        assert not out.exists()
 
 
 def test_json_reports_byte_stable(tmp_path, capsys):

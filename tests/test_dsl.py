@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import time
 from bisect import bisect_left
 from functools import lru_cache
 
@@ -297,6 +298,19 @@ def test_dropped_comp_and_star_rows_diagnosed_in_pair_order():
         (E_MISSING, 16, 8, "missing star entry for 'f' * 'g' in typoid 'P'"),
         (E_MISSING, 16, 8, "missing star entry for 'g' * 'f' in typoid 'P'"),
     ]
+
+
+def test_default_comp_rows_are_filled_in_linear_time():
+    # each path gets its two unit rows straight from its endpoints, so a
+    # document of one long terms statement costs its length, not terms x paths
+    text = "typoid D {\n  terms " + " ".join(f"t{k}" for k in range(5000)) + " ;\n}\n"
+    start = time.perf_counter()
+    result = parse(text)
+    elapsed = time.perf_counter() - start
+    assert result.ok
+    comp = result.document.typoid_entries()["D"].typoid.base.comp
+    assert comp == {(x, x): x for x in range(5000)}
+    assert elapsed < 0.5, f"parsing 5,000 terms took {elapsed:.2f}s"
 
 
 def _tokens(text):

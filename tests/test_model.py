@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -315,3 +317,277 @@ def test_indexed_associativity_matches_brute_force():
             )
             checked += 1
     assert checked > 4 * len(range(0, len(fam), 7))
+
+
+# ---------------------------------------------------------------------------
+# every message of the table checks and the level laws, pinned in full
+
+_SRC, _DST = (0, 1, 0, 1), (0, 1, 1, 0)  # the ids of codiscrete(2): two loops, then 0->1, 1->0
+_P2G = T.codiscrete_groupoid(2)
+_Z2G = T.cyclic_groupoid(2)
+_Z2 = dict(_Z2G.comp)
+# (2, 3) missing, (0, 0) out of range, (2, 1) with wrong endpoints, (2, 2) not composable
+_BROKEN = {**{k: v for k, v in _P2G.comp.items() if k != (2, 3)}, (0, 0): 9, (2, 1): 3, (2, 2): 0}
+
+
+def _paths(*tables) -> T.ValidationReport:
+    return T.validate_groupoid(FiniteGroupoid(*tables))
+
+
+def _edges(base: FiniteGroupoid, layer: EquivalenceLayer, idtoeqv=(0, 1, 2, 3)) -> T.ValidationReport:
+    return T.validate_typoid(Typoid("t", base, layer, idtoeqv))
+
+
+def _prop2_layer(eqv=(0, 1), star=_P2G.comp, einv=(0, 1, 3, 2), cell=(0, 1, 2, 3)) -> EquivalenceLayer:
+    return EquivalenceLayer(2, _SRC, _DST, eqv, star, einv, cell)
+
+
+def _z2_layer(star) -> EquivalenceLayer:
+    return EquivalenceLayer(1, (0, 0), (0, 0), (0,), star, (0, 1), (0, 1))
+
+
+def _loops(star, einv, cell) -> EquivalenceLayer:
+    return EquivalenceLayer(1, (0, 0, 0), (0, 0, 0), (0,), star, einv, cell)
+
+
+def _one_cell() -> Typoid:
+    """The equality typoid of Z2 with both edges in one cell."""
+    return Typoid("t", _Z2G, EquivalenceLayer(1, (0, 0), (0, 0), (0,), _Z2, (0, 1), (0, 0)), (0, 1))
+
+
+def _map(term_map, path_map, edge_map) -> T.ValidationReport:
+    p2 = T.equality_typoid(_P2G)
+    return T.validate_morphism(T.TypoidMorphism("m", p2, p2, term_map, path_map, edge_map))
+
+
+_DISC1 = T.discrete_groupoid(1)
+_Z2_LOOPS = ((0, 0), (0, 0), (0,))  # two loops at one term, the first one refl
+_CONGRUENCE_STAR = {
+    (0, 0): 0, (0, 1): 1, (1, 0): 1, (0, 2): 2, (2, 0): 2, (1, 1): 0, (1, 2): 0, (2, 1): 2, (2, 2): 0,
+}
+_CASES = {
+    "paths-negative": lambda: _paths(-1, (), (), (), {}, ()),
+    "paths-lengths": lambda: _paths(1, (0, 0), (0,), (0, 0), {}, (0,)),
+    "paths-range": lambda: _paths(1, (0,), (1,), (0,), {}, (0,)),
+    "paths-tables": lambda: _paths(2, _SRC, _DST, (0, 3), _BROKEN, (0, 1, 2, 2)),
+    "paths-left-unit": lambda: _paths(1, *_Z2_LOOPS, {**_Z2, (0, 1): 0}, (0, 1)),
+    "paths-right-unit": lambda: _paths(1, *_Z2_LOOPS, {**_Z2, (1, 0): 0}, (0, 1)),
+    "paths-inverse": lambda: _paths(1, *_Z2_LOOPS, {**_Z2, (1, 1): 1}, (0, 1)),
+    "edges-term-count": lambda: _edges(_P2G, EquivalenceLayer(1, (), (), (0,), {}, (), ())),
+    "edges-lengths": lambda: _edges(_P2G, EquivalenceLayer(2, _SRC, _DST[:3], (0,), {}, (0,), (0,))),
+    "edges-range": lambda: _edges(_P2G, _prop2_layer(cell=(0, 1, 2, 4))),
+    "edges-tables": lambda: _edges(_P2G, _prop2_layer((0, 3), _BROKEN, (0, 1, 2, 2))),
+    "edges-partition": lambda: _edges(_P2G, _prop2_layer(cell=(1, 1, 3, 3))),
+    "edges-representatives": lambda: _edges(_DISC1, _loops({}, (0, 1, 2), (0, 2, 1)), (0,)),
+    "edges-left-unit": lambda: _edges(_Z2G, _z2_layer({**_Z2, (0, 1): 0}), (0, 1)),
+    "edges-right-unit": lambda: _edges(_Z2G, _z2_layer({**_Z2, (1, 0): 0}), (0, 1)),
+    "edges-inverse": lambda: _edges(_Z2G, _z2_layer({**_Z2, (1, 1): 1}), (0, 1)),
+    "edges-congruence": lambda: _edges(_DISC1, _loops(_CONGRUENCE_STAR, (0, 1, 2), (0, 1, 1)), (0,)),
+    "idtoeqv-length": lambda: _edges(_P2G, _prop2_layer(), (0, 1)),
+    "idtoeqv-entries": lambda: _edges(_P2G, _prop2_layer(), (0, 1, 3, 7)),
+    "idtoeqv-laws": lambda: _edges(_Z2G, _z2_layer(_Z2), (1, 1)),
+    "derived-inv-cong": lambda: T.derived_laws(Typoid("t", _DISC1, _loops({}, (0, 2, 1), (0, 0, 2)), (0,))),
+    "ua-cong": lambda: T.verify_certificate(_one_cell(), T.UnivalenceCertificate("t", (0, 1), True)),
+    "cell-pres": lambda: T.validate_morphism(
+        T.TypoidMorphism("m", _one_cell(), T.equality_typoid(_Z2G), (0,), (0, 1), (0, 1))
+    ),
+    "map-lengths": lambda: _map((0,), (0,), ()),
+    "map-terms": lambda: _map((0, 5), (0, 1, 2, 3), (0, 1, 2, 3)),
+    "map-entries": lambda: _map((0, 1), (0, 1, 7, 2), (0, 1, 3, 9)),
+}
+
+_PINNED = {
+    "paths-negative": [
+        ("Bookkeeping", (), "negative term count"),
+        ("Bookkeeping", (), "refl table has 0 entries for -1 terms"),
+    ],
+    "paths-lengths": [
+        ("Bookkeeping", (), "inv table has 1 entries for 2 paths"),
+        ("Bookkeeping", (), "path endpoint tables differ in length"),
+        ("Bookkeeping", (), "refl table has 2 entries for 1 terms"),
+    ],
+    "paths-range": [
+        ("Bookkeeping", (), "path or term id out of range"),
+    ],
+    "paths-tables": [
+        ("Bookkeeping", (0, 0), "comp(0, 0) = 9 is out of range"),
+        ("Bookkeeping", (1, 3), "refl of term 1 is path 3 with other endpoints"),
+        ("Bookkeeping", (2, 1), "comp(2, 1) = 3 has wrong endpoints"),
+        ("Bookkeeping", (2, 2), "comp entry (2, 2) is not a composable pair"),
+        ("Bookkeeping", (2, 2), "inv of path 2 does not swap endpoints"),
+        ("Bookkeeping", (2, 3), "comp entry missing for composable pair (2, 3)"),
+        ("Groupoid", (1,), "comp(1, inv 1) = 1 is not refl"),
+        ("Groupoid", (1,), "comp(1, refl) = 3, expected 1"),
+        ("Groupoid", (1,), "comp(inv 1, 1) = 1 is not refl"),
+        ("Groupoid", (3,), "comp(3, inv 3) = 1 is not refl"),
+    ],
+    "paths-left-unit": [
+        ("Groupoid", (1,), "comp(refl, 1) = 0, expected 1"),
+        ("Groupoid", (1, 0, 1), "comp(comp(1,0),1) = 0 but comp(1,comp(0,1)) = 1"),
+        ("Groupoid", (1, 1, 1), "comp(comp(1,1),1) = 0 but comp(1,comp(1,1)) = 1"),
+    ],
+    "paths-right-unit": [
+        ("Groupoid", (1,), "comp(1, refl) = 0, expected 1"),
+        ("Groupoid", (1, 0, 1), "comp(comp(1,0),1) = 1 but comp(1,comp(0,1)) = 0"),
+        ("Groupoid", (1, 1, 1), "comp(comp(1,1),1) = 1 but comp(1,comp(1,1)) = 0"),
+    ],
+    "paths-inverse": [
+        ("Groupoid", (1,), "comp(1, inv 1) = 1 is not refl"),
+        ("Groupoid", (1,), "comp(inv 1, 1) = 1 is not refl"),
+    ],
+    "edges-term-count": [
+        ("Bookkeeping", (), "base and layer disagree on the term count"),
+    ],
+    "edges-lengths": [
+        ("Bookkeeping", (), "cell table has 1 entries for 4 edges"),
+        ("Bookkeeping", (), "edge endpoint tables differ in length"),
+        ("Bookkeeping", (), "einv table has 1 entries for 4 edges"),
+        ("Bookkeeping", (), "eqv table has 1 entries for 2 terms"),
+    ],
+    "edges-range": [
+        ("Bookkeeping", (), "edge or term id out of range"),
+    ],
+    "edges-tables": [
+        ("Bookkeeping", (0, 0), "star(0, 0) = 9 is out of range"),
+        ("Bookkeeping", (1, 3), "eqv of term 1 is edge 3 with other endpoints"),
+        ("Bookkeeping", (2, 1), "star(2, 1) = 3 has wrong endpoints"),
+        ("Bookkeeping", (2, 2), "einv of edge 2 does not swap endpoints"),
+        ("Bookkeeping", (2, 2), "star entry (2, 2) is not a composable pair"),
+        ("Bookkeeping", (2, 3), "star entry missing for composable pair (2, 3)"),
+        ("IdtoEqv", (1,), "refl of term 1 must map to the designated eqv edge, got 1"),
+        ("Typ1", (1,), "star(1, eqv) = 3 is not in the cell of 1"),
+        ("Typ2", (1,), "star(1, einv 1) = 1 is not in the cell of eqv"),
+        ("Typ2", (1,), "star(einv 1, 1) = 1 is not in the cell of eqv"),
+        ("Typ2", (3,), "star(3, einv 3) = 1 is not in the cell of eqv"),
+    ],
+    "edges-partition": [
+        ("Partition", (0, 1), "cell label 1 of edge 0 lies in another hom-set"),
+        ("Partition", (1,), "class of 1 contains the smaller edge 0"),
+        ("Partition", (2, 3), "cell label 3 of edge 2 lies in another hom-set"),
+        ("Partition", (3,), "class of 3 contains the smaller edge 2"),
+    ],
+    "edges-representatives": [
+        ("Partition", (1,), "class of 1 contains the smaller edge 2"),
+        ("Partition", (1, 2), "cell label 2 is not itself a representative"),
+        ("Partition", (2,), "class of 2 contains the smaller edge 1"),
+        ("Partition", (2, 1), "cell label 1 is not itself a representative"),
+    ],
+    "edges-left-unit": [
+        ("IdtoEqv", (0, 1), "image of comp(0,1) is not in the cell of star of the images"),
+        ("Typ1", (1,), "star(eqv, 1) = 0 is not in the cell of 1"),
+        ("Typ3", (1, 0, 1), "star(star(1,0),1) and star(1,star(0,1)) are in different cells"),
+        ("Typ3", (1, 1, 1), "star(star(1,1),1) and star(1,star(1,1)) are in different cells"),
+    ],
+    "edges-right-unit": [
+        ("IdtoEqv", (1, 0), "image of comp(1,0) is not in the cell of star of the images"),
+        ("Typ1", (1,), "star(1, eqv) = 0 is not in the cell of 1"),
+        ("Typ3", (1, 0, 1), "star(star(1,0),1) and star(1,star(0,1)) are in different cells"),
+        ("Typ3", (1, 1, 1), "star(star(1,1),1) and star(1,star(1,1)) are in different cells"),
+    ],
+    "edges-inverse": [
+        ("IdtoEqv", (1, 1), "image of comp(1,1) is not in the cell of star of the images"),
+        ("Typ2", (1,), "star(1, einv 1) = 1 is not in the cell of eqv"),
+        ("Typ2", (1,), "star(einv 1, 1) = 1 is not in the cell of eqv"),
+    ],
+    "edges-congruence": [
+        ("Typ3", (1, 2, 1), "star(star(1,2),1) and star(1,star(2,1)) are in different cells"),
+        ("Typ3", (2, 1, 2), "star(star(2,1),2) and star(2,star(1,2)) are in different cells"),
+        ("Typ3", (2, 2, 1), "star(star(2,2),1) and star(2,star(2,1)) are in different cells"),
+        ("Typ4", (1, 1, 2, 1), "star(1,1) and star(2,1) are in different cells"),
+        ("Typ4", (1, 2, 2, 1), "star(1,2) and star(2,1) are in different cells"),
+        ("Typ4", (2, 1, 1, 1), "star(2,1) and star(1,1) are in different cells"),
+        ("Typ4", (2, 1, 1, 2), "star(2,1) and star(1,2) are in different cells"),
+        ("Typ4", (2, 1, 2, 2), "star(2,1) and star(2,2) are in different cells"),
+        ("Typ4", (2, 2, 2, 1), "star(2,2) and star(2,1) are in different cells"),
+    ],
+    "idtoeqv-length": [
+        ("Bookkeeping", (), "path-to-edge table has 2 entries for 4 paths"),
+    ],
+    "idtoeqv-entries": [
+        ("Bookkeeping", (2, 3), "path 2 maps to edge 3 with other endpoints"),
+        ("Bookkeeping", (3,), "path 3 maps to out-of-range edge 7"),
+    ],
+    "idtoeqv-laws": [
+        ("IdtoEqv", (0,), "refl of term 0 must map to the designated eqv edge, got 1"),
+        ("IdtoEqv", (0, 0), "image of comp(0,0) is not in the cell of star of the images"),
+        ("IdtoEqv", (0, 1), "image of comp(0,1) is not in the cell of star of the images"),
+        ("IdtoEqv", (1, 0), "image of comp(1,0) is not in the cell of star of the images"),
+        ("IdtoEqv", (1, 1), "image of comp(1,1) is not in the cell of star of the images"),
+    ],
+    "derived-inv-cong": [
+        ("DerivedInvCong", (0, 1), "0 and 1 share a cell but their einv images do not"),
+        ("DerivedInvCong", (1, 0), "1 and 0 share a cell but their einv images do not"),
+    ],
+    "ua-cong": [
+        ("UaCong", (0, 1), "0 and 1 share a cell but map to different paths"),
+        ("UaCong", (1, 0), "1 and 0 share a cell but map to different paths"),
+    ],
+    "cell-pres": [
+        ("CellPres", (0, 1), "0 and 1 share a cell but their images do not"),
+        ("CellPres", (1, 0), "1 and 0 share a cell but their images do not"),
+    ],
+    "map-lengths": [
+        ("Bookkeeping", (), "edge map has 0 entries for 4 edges"),
+        ("Bookkeeping", (), "path map has 1 entries for 4 paths"),
+        ("Bookkeeping", (), "term map has 1 entries for 2 terms"),
+    ],
+    "map-terms": [
+        ("Bookkeeping", (), "term map value out of range"),
+    ],
+    "map-entries": [
+        ("Bookkeeping", (2,), "path 2 maps to out-of-range path 7"),
+        ("Bookkeeping", (2, 3), "image of edge 2 has wrong endpoints"),
+        ("Bookkeeping", (3,), "edge 3 maps to out-of-range edge 9"),
+        ("Bookkeeping", (3, 2), "image of path 3 has wrong endpoints"),
+    ],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CASES))
+def test_violation_messages_are_pinned(case):
+    report = _CASES[case]()
+    assert [(v.law, v.witness, v.detail) for v in report.violations] == _PINNED[case]
+
+
+# ---------------------------------------------------------------------------
+# single-entry mutations never make a validator raise
+
+_MUTABLE = (
+    ("base", "term_count"), ("base", "path_src"), ("base", "path_dst"), ("base", "refl"),
+    ("base", "comp"), ("base", "inv"), ("layer", "term_count"), ("layer", "edge_src"),
+    ("layer", "edge_dst"), ("layer", "eqv"), ("layer", "star"), ("layer", "einv"),
+    ("layer", "cell"), (None, "idtoeqv"),
+)
+
+
+@st.composite
+def _single_entry_mutants(draw) -> Typoid:
+    """A family() member with one entry of one table set to a small id
+    (possibly out of range or negative) or removed, or its term count set."""
+    fam = family()
+    t = fam[draw(st.integers(0, len(fam) - 1))]
+    part, name = draw(st.sampled_from(_MUTABLE))
+    holder = t if part is None else getattr(t, part)
+    table = getattr(holder, name)
+    value = draw(st.integers(-2, 9))
+    remove = draw(st.booleans())
+    if isinstance(table, int):
+        table = value
+    elif isinstance(table, tuple):
+        i = draw(st.integers(0, max(len(table) - 1, 0)))
+        table = table[:i] + (() if remove else (value,)) + table[i + 1:]
+    else:
+        keys = sorted(table) + [(draw(st.integers(-1, 9)), draw(st.integers(-1, 9)))]
+        key = draw(st.sampled_from(keys))
+        table = {k: v for k, v in table.items() if k != key}
+        if not remove:
+            table[key] = value
+    changed = dataclasses.replace(holder, **{name: table})
+    return changed if part is None else dataclasses.replace(t, **{part: changed})
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_single_entry_mutants())
+def test_single_entry_mutants_are_reported_not_raised(t):
+    assert isinstance(T.validate_groupoid(t.base, T.Budget(10**9)), T.ValidationReport)
+    assert isinstance(T.validate_typoid(t, T.Budget(10**9)), T.ValidationReport)
