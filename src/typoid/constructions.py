@@ -19,10 +19,11 @@ from .model import (
     FiniteGroupoid,
     ResourceLimitError,
     Typoid,
+    _out_index,
     validate_groupoid,
     validate_typoid,
 )
-from .morphisms import TypoidMorphism, find_path_functor, iter_path_functors
+from .morphisms import TypoidMorphism, _backtrack, find_path_functor, iter_path_functors
 
 
 # ---------------------------------------------------------------------------
@@ -36,11 +37,12 @@ def _renumber(t: Typoid) -> tuple[Typoid, dict[int, int], dict[int, int]]:
     change under the permutation.
     """
     base, layer = t.base, t.layer
+    refl, eqv = set(base.refl), set(layer.eqv)
     path_order = list(dict.fromkeys(base.refl))
-    path_order += [p for p in range(base.path_count) if p not in set(base.refl)]
+    path_order += [p for p in range(base.path_count) if p not in refl]
     pmap = {old: new for new, old in enumerate(path_order)}
     edge_order = list(dict.fromkeys(layer.eqv))
-    edge_order += [e for e in range(layer.edge_count) if e not in set(layer.eqv)]
+    edge_order += [e for e in range(layer.edge_count) if e not in eqv]
     emap = {old: new for new, old in enumerate(edge_order)}
 
     new_base = FiniteGroupoid(
@@ -454,14 +456,15 @@ def _completion_base(layer: EquivalenceLayer) -> tuple[FiniteGroupoid, tuple[int
     reps = sorted(layer.class_members)
     index = {r: i for i, r in enumerate(reps)}
     refl = tuple(index[layer.cell[layer.eqv[x]]] for x in range(layer.term_count))
+    path_src = tuple(layer.edge_src[r] for r in reps)
+    leaving = _out_index(path_src, layer.term_count)
     comp = {}
-    for r1 in reps:
-        for r2 in reps:
-            if layer.edge_dst[r1] == layer.edge_src[r2]:
-                comp[(index[r1], index[r2])] = index[layer.cell[layer.star[(r1, r2)]]]
+    for i, r1 in enumerate(reps):
+        for j in leaving[layer.edge_dst[r1]]:
+            comp[(i, j)] = index[layer.cell[layer.star[(r1, reps[j])]]]
     base = FiniteGroupoid(
         term_count=layer.term_count,
-        path_src=tuple(layer.edge_src[r] for r in reps),
+        path_src=path_src,
         path_dst=tuple(layer.edge_dst[r] for r in reps),
         refl=refl,
         comp=comp,
@@ -511,35 +514,6 @@ class ExponentialProvenance:
     edges: tuple[ExponentialEdge, ...]
 
 
-def _edge_action_ok(a: Typoid, b: Typoid, f: tuple[int, ...], phi: tuple[int, ...]) -> bool:
-    bcell = b.layer.cell
-    for x in range(a.term_count):
-        if bcell[phi[a.layer.eqv[x]]] != bcell[b.layer.eqv[f[x]]]:
-            return False
-    for (e1, e2), e12 in a.layer.star.items():
-        image = b.layer.star[(phi[e1], phi[e2])]
-        if bcell[phi[e12]] != bcell[image]:
-            return False
-    for members in a.layer.class_members.values():
-        first = bcell[phi[members[0]]]
-        for e in members[1:]:
-            if bcell[phi[e]] != first:
-                return False
-    return True
-
-
-def _square_ok(
-    a: Typoid, b: Typoid, phi_f: tuple[int, ...], phi_g: tuple[int, ...], theta: tuple[int, ...]
-) -> bool:
-    bcell = b.layer.cell
-    bstar = b.layer.star
-    for e in range(a.layer.edge_count):
-        sx, sy = a.layer.edge_src[e], a.layer.edge_dst[e]
-        if bcell[bstar[(phi_f[e], theta[sy])]] != bcell[bstar[(theta[sx], phi_g[e])]]:
-            return False
-    return True
-
-
 def exponential_typoid(
     a: Typoid, b: Typoid, limits: ExponentialLimits = ExponentialLimits(), name: str | None = None
 ) -> tuple[Typoid, ExponentialProvenance]:
@@ -551,56 +525,65 @@ def exponential_typoid(
     _require_valid_typoid(a)
     _require_valid_typoid(b)
     name = name or f"exp_{a.name}_{b.name}"
+    bcell = b.layer.cell
+    bstar = b.layer.star
+    asrc, adst = a.layer.edge_src, a.layer.edge_dst
+
+    # the edge action: one search position per edge of a; composition is
+    # preserved and cells are respected up to cells of b
+    action_checks = [
+        (max(e1, e2, e12), lambda c, e1=e1, e2=e2, e12=e12: bcell[c[e12]] == bcell[bstar[(c[e1], c[e2])]])
+        for (e1, e2), e12 in a.layer.star.items()
+    ]
+    for m, *mates in a.layer.class_members.values():
+        action_checks += [(e, lambda c, m=m, e=e: bcell[c[e]] == bcell[c[m]]) for e in mates]
 
     terms: list[TypoidMorphism] = []
     for f in itertools.product(range(b.term_count), repeat=a.term_count):
+        options = [b.layer.hom(f[asrc[e]], f[adst[e]]) for e in range(a.layer.edge_count)]
+        checks = action_checks + [
+            (e, lambda c, e=e, unit=bcell[b.layer.eqv[f[x]]]: bcell[c[e]] == unit)
+            for x, e in enumerate(a.layer.eqv)
+        ]
         for ap in iter_path_functors(a.base, b.base, f):
-            options = []
-            for e in range(a.layer.edge_count):
-                hom = b.layer.hom(f[a.layer.edge_src[e]], f[a.layer.edge_dst[e]])
-                if not hom:
-                    options = None
-                    break
-                options.append(hom)
-            if options is None:
-                continue
-            for phi in itertools.product(*options):
-                if _edge_action_ok(a, b, f, phi):
-                    if len(terms) >= limits.max_terms:
-                        raise ResourceLimitError(
-                            "max-terms", f"more than {limits.max_terms} morphisms from {a.name!r} to {b.name!r}"
-                        )
-                    terms.append(
-                        TypoidMorphism(
-                            name=f"{name}_term{len(terms)}",
-                            source=a,
-                            target=b,
-                            term_map=f,
-                            path_map=ap,
-                            edge_map=phi,
-                        )
+            for phi in _backtrack(options, checks):
+                if len(terms) >= limits.max_terms:
+                    raise ResourceLimitError(
+                        "max-terms", f"more than {limits.max_terms} morphisms from {a.name!r} to {b.name!r}"
                     )
+                terms.append(
+                    TypoidMorphism(
+                        name=f"{name}_term{len(terms)}",
+                        source=a,
+                        target=b,
+                        term_map=f,
+                        path_map=ap,
+                        edge_map=phi,
+                    )
+                )
 
+    # the families: one search position per term of a; the square over each
+    # edge of a commutes up to cells once both of its ends are chosen
     families: list[ExponentialEdge] = []
     family_id: dict[tuple[int, int, tuple[int, ...]], int] = {}
     for i, fm in enumerate(terms):
         for j, gm in enumerate(terms):
-            options = [
-                b.layer.hom(fm.term_map[x], gm.term_map[x]) for x in range(a.term_count)
+            options = [b.layer.hom(fm.term_map[x], gm.term_map[x]) for x in range(a.term_count)]
+            squares = [
+                (
+                    max(sx, sy),
+                    lambda c, sx=sx, sy=sy, fe=fe, ge=ge: bcell[bstar[(fe, c[sy])]] == bcell[bstar[(c[sx], ge)]],
+                )
+                for sx, sy, fe, ge in zip(asrc, adst, fm.edge_map, gm.edge_map)
             ]
-            if any(not hom for hom in options):
-                continue
-            for theta in itertools.product(*options):
-                if _square_ok(a, b, fm.edge_map, gm.edge_map, theta):
-                    if len(families) >= limits.max_edges:
-                        raise ResourceLimitError(
-                            "max-edges", f"more than {limits.max_edges} edge families"
-                        )
-                    family_id[(i, j, theta)] = len(families)
-                    families.append(ExponentialEdge(src_term=i, dst_term=j, theta=theta))
+            for theta in _backtrack(options, squares):
+                if len(families) >= limits.max_edges:
+                    raise ResourceLimitError(
+                        "max-edges", f"more than {limits.max_edges} edge families"
+                    )
+                family_id[(i, j, theta)] = len(families)
+                families.append(ExponentialEdge(src_term=i, dst_term=j, theta=theta))
 
-    bcell = b.layer.cell
-    bstar = b.layer.star
     beinv = b.layer.einv
 
     def fid(i: int, j: int, theta: tuple[int, ...]) -> int:
@@ -613,14 +596,13 @@ def exponential_typoid(
         fid(i, i, tuple(b.layer.eqv[terms[i].term_map[x]] for x in range(a.term_count)))
         for i in range(len(terms))
     )
+    edge_src = tuple(f.src_term for f in families)
+    leaving = _out_index(edge_src, len(terms))
     star = {}
     for e1, fam1 in enumerate(families):
-        for e2, fam2 in enumerate(families):
-            if fam1.dst_term != fam2.src_term:
-                continue
-            pointwise = tuple(
-                bstar[(fam1.theta[x], fam2.theta[x])] for x in range(a.term_count)
-            )
+        for e2 in leaving[fam1.dst_term]:
+            fam2 = families[e2]
+            pointwise = tuple(bstar[pair] for pair in zip(fam1.theta, fam2.theta))
             star[(e1, e2)] = fid(fam1.src_term, fam2.dst_term, pointwise)
     einv = tuple(
         fid(f.dst_term, f.src_term, tuple(beinv[x] for x in f.theta)) for f in families
@@ -630,7 +612,7 @@ def exponential_typoid(
     )
     layer = EquivalenceLayer(
         term_count=len(terms),
-        edge_src=tuple(f.src_term for f in families),
+        edge_src=edge_src,
         edge_dst=tuple(f.dst_term for f in families),
         eqv=eqv,
         star=star,

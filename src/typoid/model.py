@@ -363,6 +363,13 @@ class _Level(NamedTuple):
     cell: Sequence[int]
 
 
+def _edges(layer: EquivalenceLayer) -> _Level:
+    """A layer's edges as the law checker reads them."""
+    return _Level(
+        _EDGE_WORDS, layer.term_count, layer.edge_src, layer.edge_dst, layer.eqv, layer.star, layer.einv, layer.cell
+    )
+
+
 def _malformed(level: _Level, violations: list[Violation]) -> bool:
     """Bookkeeping on a level's tables: lengths and id ranges, then the
     endpoints of units and inverses.  True when the tables cannot be read."""
@@ -466,9 +473,7 @@ def validate_typoid(t: Typoid, budget: Budget | None = None) -> ValidationReport
             Violation("Bookkeeping", (), "base and layer disagree on the term count")
         )
         return ValidationReport.collect(violations, counts)
-    edges = _Level(
-        _EDGE_WORDS, layer.term_count, layer.edge_src, layer.edge_dst, layer.eqv, layer.star, layer.einv, layer.cell
-    )
+    edges = _edges(layer)
     if _malformed(edges, violations):
         return ValidationReport.collect(violations, counts)
 
@@ -612,13 +617,16 @@ def derived_laws(t: Typoid, budget: Budget | None = None) -> ValidationReport:
     inversion lands back in the original cell, and inversion respects cells.
 
     These follow from Typ1..Typ4, so they hold for every structure accepted
-    by validate_typoid; a violation means validation was skipped.
+    by validate_typoid; a violation means validation was skipped.  A layer
+    whose tables cannot be read gets its Bookkeeping violations instead.
     """
     budget = budget or Budget()
     layer = t.layer
     cell = layer.cell
     violations: list[Violation] = []
     counts: dict[str, int] = {}
+    if _malformed(_edges(layer), violations):
+        return ValidationReport.collect(violations, counts)
 
     unit = 0
     for x in range(layer.term_count):

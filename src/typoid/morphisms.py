@@ -8,9 +8,8 @@ cell.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .model import Budget, Typoid, ValidationReport, Violation, _constant_on_cells
 
@@ -189,28 +188,66 @@ def identity_from_equality(t: Typoid) -> TypoidMorphism:
     )
 
 
+def _backtrack(
+    options: Sequence[Sequence[int]], checks: Iterable[tuple[int, Callable[[list[int]], bool]]]
+) -> Iterator[tuple[int, ...]]:
+    """Every tuple c with c[k] drawn from options[k] for which all checks
+    hold, in lexicographic order of the options, found by an iterative
+    depth-first search that yields each tuple as soon as it is complete.
+
+    A check is (k, ok): ok(c) reads positions up to k of the partial choice
+    list c, and runs as soon as position k is fixed.  A fixed value is a
+    position with one option; placed first, the checks that read only fixed
+    values run once, before any free position is tried."""
+    n = len(options)
+    if not all(options):
+        return
+    at: list[list[Callable[[list[int]], bool]]] = [[] for _ in range(n)]
+    for k, ok in checks:
+        at[k].append(ok)
+    chosen = [0] * n
+    tried = [0] * n
+    k = 0
+    while k >= 0:
+        if k == n:
+            yield tuple(chosen)
+            k -= 1
+            continue
+        i = tried[k]
+        if i == len(options[k]):
+            tried[k] = 0
+            k -= 1
+            continue
+        tried[k] = i + 1
+        chosen[k] = options[k][i]
+        for ok in at[k]:
+            if not ok(chosen):
+                break
+        else:
+            k += 1
+
+
 def iter_path_functors(src, dst, term_map) -> Iterator[tuple[int, ...]]:
     """All strict base-path functors over the given term map, in
     lexicographic order of the choices for non-refl paths."""
     refl_image = {src.refl[x]: dst.refl[term_map[x]] for x in range(src.term_count)}
     free = [p for p in range(src.path_count) if p not in refl_image]
-    candidates = []
+    options = [(q,) for q in refl_image.values()]
     for p in free:
-        options = dst.hom(term_map[src.path_src[p]], term_map[src.path_dst[p]])
-        if not options:
-            return
-        candidates.append(options)
-    pairs = sorted(src.comp.items())
-    for choice in itertools.product(*candidates):
-        table = list(range(src.path_count))
-        for x in range(src.term_count):
-            table[src.refl[x]] = dst.refl[term_map[x]]
-        for p, q in zip(free, choice):
+        options.append(dst.hom(term_map[src.path_src[p]], term_map[src.path_dst[p]]))
+    # search positions: the refl paths with their one image, then the free paths
+    order = list(refl_image) + free
+    at = {p: k for k, p in enumerate(order)}
+    comp = dst.comp
+    checks = []
+    for (p, q), pq in src.comp.items():
+        i, j, r = at[p], at[q], at[pq]
+        checks.append((max(i, j, r), lambda c, i=i, j=j, r=r: comp.get((c[i], c[j])) == c[r]))
+    for choice in _backtrack(options, checks):
+        table = [0] * src.path_count
+        for p, q in zip(order, choice):
             table[p] = q
-        if all(
-            dst.comp.get((table[p], table[q])) == table[pq] for (p, q), pq in pairs
-        ):
-            yield tuple(table)
+        yield tuple(table)
 
 
 def find_path_functor(src, dst, term_map) -> tuple[int, ...]:

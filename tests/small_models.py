@@ -13,12 +13,20 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
+from typoid.constructions import (
+    ExponentialEdge,
+    ExponentialLimits,
+    ExponentialProvenance,
+    _renumber,
+)
 from typoid.model import (
     EquivalenceLayer,
     FiniteGroupoid,
+    ResourceLimitError,
     Typoid,
     validate_typoid,
 )
+from typoid.morphisms import TypoidMorphism
 
 # ---------------------------------------------------------------------------
 # base groupoids
@@ -448,3 +456,146 @@ def naive_typ4_estimate(layer: EquivalenceLayer) -> int:
         for d in range(layer.edge_count)
         if layer.edge_dst[e] == layer.edge_src[d]
     )
+
+
+# ---------------------------------------------------------------------------
+# brute-force functor search and exponential
+
+
+def naive_path_functors(src, dst, term_map):
+    """Every strict base-path functor over the term map: the full product of
+    the images of the non-refl paths, each checked against all of comp."""
+    refl_image = {src.refl[x]: dst.refl[term_map[x]] for x in range(src.term_count)}
+    free = [p for p in range(src.path_count) if p not in refl_image]
+    candidates = []
+    for p in free:
+        options = dst.hom(term_map[src.path_src[p]], term_map[src.path_dst[p]])
+        if not options:
+            return
+        candidates.append(options)
+    pairs = sorted(src.comp.items())
+    for choice in itertools.product(*candidates):
+        table = list(range(src.path_count))
+        for x in range(src.term_count):
+            table[src.refl[x]] = dst.refl[term_map[x]]
+        for p, q in zip(free, choice):
+            table[p] = q
+        if all(dst.comp.get((table[p], table[q])) == table[pq] for (p, q), pq in pairs):
+            yield tuple(table)
+
+
+def _edge_action_ok(a: Typoid, b: Typoid, f: tuple[int, ...], phi: tuple[int, ...]) -> bool:
+    bcell = b.layer.cell
+    for x in range(a.term_count):
+        if bcell[phi[a.layer.eqv[x]]] != bcell[b.layer.eqv[f[x]]]:
+            return False
+    for (e1, e2), e12 in a.layer.star.items():
+        image = b.layer.star[(phi[e1], phi[e2])]
+        if bcell[phi[e12]] != bcell[image]:
+            return False
+    for members in a.layer.class_members.values():
+        first = bcell[phi[members[0]]]
+        for e in members[1:]:
+            if bcell[phi[e]] != first:
+                return False
+    return True
+
+
+def _square_ok(
+    a: Typoid, b: Typoid, phi_f: tuple[int, ...], phi_g: tuple[int, ...], theta: tuple[int, ...]
+) -> bool:
+    bcell = b.layer.cell
+    bstar = b.layer.star
+    for e in range(a.layer.edge_count):
+        sx, sy = a.layer.edge_src[e], a.layer.edge_dst[e]
+        if bcell[bstar[(phi_f[e], theta[sy])]] != bcell[bstar[(theta[sx], phi_g[e])]]:
+            return False
+    return True
+
+
+def naive_completion_base(layer: EquivalenceLayer) -> tuple[FiniteGroupoid, tuple[int, ...]]:
+    """The strict groupoid on the cell classes, composing every pair of
+    class representatives whose endpoints meet."""
+    reps = sorted(layer.class_members)
+    index = {r: i for i, r in enumerate(reps)}
+    refl = tuple(index[layer.cell[layer.eqv[x]]] for x in range(layer.term_count))
+    comp = {}
+    for r1 in reps:
+        for r2 in reps:
+            if layer.edge_dst[r1] == layer.edge_src[r2]:
+                comp[(index[r1], index[r2])] = index[layer.cell[layer.star[(r1, r2)]]]
+    base = FiniteGroupoid(
+        term_count=layer.term_count,
+        path_src=tuple(layer.edge_src[r] for r in reps),
+        path_dst=tuple(layer.edge_dst[r] for r in reps),
+        refl=refl,
+        comp=comp,
+        inv=tuple(index[layer.cell[layer.einv[r]]] for r in reps),
+    )
+    idtoeqv = list(reps)
+    for x in range(layer.term_count):
+        idtoeqv[refl[x]] = layer.eqv[x]
+    return base, tuple(idtoeqv)
+
+
+def naive_exponential(
+    a: Typoid, b: Typoid, limits: ExponentialLimits = ExponentialLimits(), name: str | None = None
+) -> tuple[Typoid, ExponentialProvenance]:
+    """The exponential by full products: every edge action and every family
+    is enumerated and then checked, and star tries every pair of families.
+    Both arguments must be valid."""
+    name = name or f"exp_{a.name}_{b.name}"
+    terms: list[TypoidMorphism] = []
+    for f in itertools.product(range(b.term_count), repeat=a.term_count):
+        for ap in naive_path_functors(a.base, b.base, f):
+            options = [
+                b.layer.hom(f[a.layer.edge_src[e]], f[a.layer.edge_dst[e]])
+                for e in range(a.layer.edge_count)
+            ]
+            for phi in itertools.product(*options):
+                if _edge_action_ok(a, b, f, phi):
+                    if len(terms) >= limits.max_terms:
+                        raise ResourceLimitError(
+                            "max-terms", f"more than {limits.max_terms} morphisms from {a.name!r} to {b.name!r}"
+                        )
+                    terms.append(TypoidMorphism(f"{name}_term{len(terms)}", a, b, f, ap, phi))
+
+    families: list[ExponentialEdge] = []
+    family_id: dict[tuple[int, int, tuple[int, ...]], int] = {}
+    for i, fm in enumerate(terms):
+        for j, gm in enumerate(terms):
+            options = [b.layer.hom(fm.term_map[x], gm.term_map[x]) for x in range(a.term_count)]
+            for theta in itertools.product(*options):
+                if _square_ok(a, b, fm.edge_map, gm.edge_map, theta):
+                    if len(families) >= limits.max_edges:
+                        raise ResourceLimitError("max-edges", f"more than {limits.max_edges} edge families")
+                    family_id[(i, j, theta)] = len(families)
+                    families.append(ExponentialEdge(src_term=i, dst_term=j, theta=theta))
+
+    bcell, bstar = b.layer.cell, b.layer.star
+    star = {}
+    for e1, fam1 in enumerate(families):
+        for e2, fam2 in enumerate(families):
+            if fam1.dst_term == fam2.src_term:
+                pointwise = tuple(bstar[(fam1.theta[x], fam2.theta[x])] for x in range(a.term_count))
+                star[(e1, e2)] = family_id[(fam1.src_term, fam2.dst_term, pointwise)]
+    layer = EquivalenceLayer(
+        term_count=len(terms),
+        edge_src=tuple(f.src_term for f in families),
+        edge_dst=tuple(f.dst_term for f in families),
+        eqv=tuple(
+            family_id[(i, i, tuple(b.layer.eqv[terms[i].term_map[x]] for x in range(a.term_count)))]
+            for i in range(len(terms))
+        ),
+        star=star,
+        einv=tuple(
+            family_id[(f.dst_term, f.src_term, tuple(b.layer.einv[x] for x in f.theta))] for f in families
+        ),
+        cell=tuple(family_id[(f.src_term, f.dst_term, tuple(bcell[x] for x in f.theta))] for f in families),
+    )
+    base, idtoeqv = naive_completion_base(layer)
+    out, _, emap = _renumber(Typoid(name=name, base=base, layer=layer, idtoeqv=idtoeqv))
+    final_edges = list(families)
+    for old, fam in enumerate(families):
+        final_edges[emap[old]] = fam
+    return out, ExponentialProvenance(source=a, target=b, terms=tuple(terms), edges=tuple(final_edges))

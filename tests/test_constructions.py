@@ -3,13 +3,17 @@ universe, and completion."""
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 import typoid as T
+from typoid.constructions import _completion_base
 from typoid.model import FiniteGroupoid
 from typoid.univalence import NotUnivalent, UnivalenceCertificate
 
-from corpus import stock_base, stock_products
+from corpus import stock_base, stock_products, stock_truncations
+from small_models import family, naive_completion_base, naive_exponential
 from test_morphisms import rich_unit_cell_typoid
 
 
@@ -243,6 +247,63 @@ def test_exponential_eqv_edge_is_pointwise_unit_family():
         assert fam.src_term == i and fam.dst_term == i
         expected = tuple(b.layer.eqv[prov.terms[i].term_map[x]] for x in range(a.term_count))
         assert fam.theta == expected
+
+
+def _exponential_outcome(build, a, b, limits=T.ExponentialLimits()):
+    """The repr of the built typoid and provenance, so that dict order
+    counts, or the message of the limit that stopped the build."""
+    try:
+        return repr(build(a, b, limits))
+    except T.ResourceLimitError as exc:
+        return f"{exc.bound}: {exc}"
+
+
+def test_exponential_matches_brute_force_on_stock_pairs():
+    stock = [*stock_base().values(), *stock_truncations().values()]
+    for a in stock:
+        for b in stock:
+            assert _exponential_outcome(T.exponential_typoid, a, b) == _exponential_outcome(
+                naive_exponential, a, b
+            ), (a.name, b.name)
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (T.equality_typoid(T.cyclic_groupoid(4), "z4"), T.equality_typoid(T.cyclic_groupoid(8), "z8")),
+        (T.equality_typoid(T.codiscrete_groupoid(3), "c3"), T.equality_typoid(T.codiscrete_groupoid(3), "c3")),
+    ],
+)
+def test_exponential_matches_brute_force_on_larger_pairs(a, b):
+    limits = T.ExponentialLimits(max_terms=1000, max_edges=10000)
+    assert _exponential_outcome(T.exponential_typoid, a, b, limits) == _exponential_outcome(
+        naive_exponential, a, b, limits
+    )
+
+
+def test_exponential_limits_stop_at_the_same_result_as_brute_force():
+    base = stock_base()
+    pairs = [(base["bool_disc"], base["eq_z2"]), (base["universe2"], base["universe11"]), (base["prop2"], base["bool_disc"])]
+    for a, b in pairs:
+        for max_terms in range(4):
+            for max_edges in (0, 1, 5, 12):
+                limits = T.ExponentialLimits(max_terms=max_terms, max_edges=max_edges)
+                fast = _exponential_outcome(T.exponential_typoid, a, b, limits)
+                assert fast == _exponential_outcome(naive_exponential, a, b, limits), (a.name, b.name, limits)
+
+
+def test_exponential_limit_on_a_large_pair_raises_at_once():
+    z10 = T.equality_typoid(T.cyclic_groupoid(10), "z10")
+    start = time.perf_counter()
+    with pytest.raises(T.ResourceLimitError) as exc:
+        T.exponential_typoid(z10, z10, T.ExponentialLimits(max_terms=1))
+    assert exc.value.bound == "max-terms"
+    assert time.perf_counter() - start < 5.0
+
+
+def test_completion_base_matches_brute_force_on_family_layers():
+    for t in family():
+        assert repr(_completion_base(t.layer)) == repr(naive_completion_base(t.layer)), t.name
 
 
 # -- universe -----------------------------------------------------------------

@@ -561,12 +561,12 @@ _MUTABLE = (
 
 
 @st.composite
-def _single_entry_mutants(draw) -> Typoid:
-    """A family() member with one entry of one table set to a small id
+def _single_entry_mutants(draw, tables=_MUTABLE) -> Typoid:
+    """A family() member with one entry of one of `tables` set to a small id
     (possibly out of range or negative) or removed, or its term count set."""
     fam = family()
     t = fam[draw(st.integers(0, len(fam) - 1))]
-    part, name = draw(st.sampled_from(_MUTABLE))
+    part, name = draw(st.sampled_from(tables))
     holder = t if part is None else getattr(t, part)
     table = getattr(holder, name)
     value = draw(st.integers(-2, 9))
@@ -591,3 +591,11 @@ def _single_entry_mutants(draw) -> Typoid:
 def test_single_entry_mutants_are_reported_not_raised(t):
     assert isinstance(T.validate_groupoid(t.base, T.Budget(10**9)), T.ValidationReport)
     assert isinstance(T.validate_typoid(t, T.Budget(10**9)), T.ValidationReport)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_single_entry_mutants(tuple(m for m in _MUTABLE if m[0] == "layer")))
+def test_derived_laws_report_unreadable_layers(t):
+    report = T.derived_laws(t, T.Budget(10**9))
+    if "DerivedUnitInv" not in report.law_counts:
+        assert report.violations and {v.law for v in report.violations} == {"Bookkeeping"}

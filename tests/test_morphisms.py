@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
+import time
+
 import pytest
 
 import typoid as T
@@ -9,6 +12,7 @@ from typoid.model import EquivalenceLayer, Typoid
 from typoid.morphisms import identity_morphism
 
 from corpus import stock_base, stock_products
+from small_models import naive_path_functors, small_groupoids
 
 
 def rich_unit_cell_typoid(name: str = "rich") -> Typoid:
@@ -178,6 +182,32 @@ def test_path_functor_enumeration():
     assert functors == [(0, 0), (0, 1)]
     with pytest.raises(ValueError, match="path"):
         T.find_path_functor(T.codiscrete_groupoid(2), T.discrete_groupoid(2), (0, 1))
+
+
+def test_path_functors_match_brute_force_on_small_groupoids():
+    groupoids = small_groupoids(2, 3)
+    for src in groupoids:
+        for dst in groupoids:
+            for term_map in itertools.product(range(dst.term_count), repeat=src.term_count):
+                assert list(T.iter_path_functors(src, dst, term_map)) == list(
+                    naive_path_functors(src, dst, term_map)
+                ), (src, dst, term_map)
+
+
+def test_path_functor_search_needs_no_recursion():
+    # 1,560 free paths, more than the interpreter's recursion limit
+    c40 = T.codiscrete_groupoid(40)
+    assert list(T.iter_path_functors(c40, c40, tuple(range(40)))) == [tuple(range(c40.path_count))]
+
+
+def test_path_functor_search_on_z10_is_fast():
+    z10 = T.cyclic_groupoid(10)
+    start = time.perf_counter()
+    functors = list(T.iter_path_functors(z10, z10, (0,)))
+    assert time.perf_counter() - start < 2.0
+    # one functor per image of the generator 1
+    assert sorted(table[1] for table in functors) == list(range(10))
+    assert all(table[k] == (k * table[1]) % 10 for table in functors for k in range(10))
 
 
 def test_validate_morphism_without_base_checks():
