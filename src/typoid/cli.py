@@ -1,6 +1,7 @@
 """Command line front end.
 
-Every subcommand prints one JSON report on stdout:
+Every command line but -h/--help ends in one JSON report on stdout, bad
+command lines included:
 
     {"tool": "typoid", "version": ..., "result": ..., "violations": [...],
      "ua": [...], "stats": {"terms": ..., "paths": ..., "edges": ..., "checks": ...}}
@@ -31,8 +32,8 @@ from .constructions import (
 )
 from .dsl import Document, TypoidEntry, document_for, parse, serialize
 from .model import Budget, ResourceLimitError, Typoid, ValidationReport, validate_typoid
-from .morphisms import validate_morphism
-from .univalence import NotUnivalent, NotUnivalentError, check_univalence
+from .morphisms import TypoidMorphism, validate_morphism
+from .univalence import NotUnivalent, NotUnivalentError, check_univalence, induce_morphism
 
 L_CODES = {
     "Bookkeeping": "L000",
@@ -59,14 +60,15 @@ L_CODES = {
     "SquareEdges": "L306",
 }
 
-EXIT_OK = 0
-EXIT_PROPERTY = 1
-EXIT_INPUT = 2
-EXIT_RESOURCE = 3
+# the exit code of each report result
+_EXIT_CODES = {
+    "ok": 0, "valid": 0, "univalent": 0, "invalid": 1, "not-univalent": 1,
+    "input-error": 2, "parse-error": 2, "resource-limit": 3,
+}
 
 
-def _report(result: str, violations=(), ua=(), stats=None) -> None:
-    payload = {
+def _report(result: str, violations=(), ua=(), stats=None) -> dict:
+    return {
         "tool": "typoid",
         "version": __version__,
         "result": result,
@@ -74,7 +76,6 @@ def _report(result: str, violations=(), ua=(), stats=None) -> None:
         "ua": list(ua),
         "stats": stats or {"terms": 0, "paths": 0, "edges": 0, "checks": 0},
     }
-    print(json.dumps(payload, sort_keys=True))
 
 
 def _stats(t: Typoid, checks: int = 0) -> dict:
@@ -98,33 +99,51 @@ def _law_json(report: ValidationReport) -> list[dict]:
     ]
 
 
-def _diag_json(diagnostics) -> list[dict]:
-    return [
-        {
-            "code": d.code,
-            "severity": d.severity,
-            "line": d.span.line,
-            "column": d.span.column,
-            "length": d.span.length,
-            "message": d.message,
-        }
-        for d in diagnostics
-    ]
+def _verdict(report: ValidationReport, stats: dict) -> dict:
+    return _report("valid" if report.valid else "invalid", violations=_law_json(report), stats=stats)
 
 
-class _InputError(Exception):
-    pass
+def _not_univalent(outcome: NotUnivalent, stats: dict, where: str = "") -> dict:
+    """The `not-univalent` report with the one `L310` witness of `outcome`."""
+    edge = [] if outcome.witness_edge is None else [outcome.witness_edge]
+    witness = {
+        "code": "L310",
+        "law": "Univalence",
+        "witness": list(outcome.witness_paths or ()) + edge,
+        "detail": f"{outcome.reason} on hom {outcome.hom}{where}",
+    }
+    return _report("not-univalent", violations=[witness], stats=stats)
+
+
+class _ParseFailed(Exception):
+    """The input file does not parse; carries the `parse-error` report."""
+
+    def __init__(self, diagnostics):
+        super().__init__("parse-error")
+        self.report = _report(
+            "parse-error",
+            violations=[
+                {
+                    "code": d.code,
+                    "severity": d.severity,
+                    "line": d.span.line,
+                    "column": d.span.column,
+                    "length": d.span.length,
+                    "message": d.message,
+                }
+                for d in diagnostics
+            ],
+        )
 
 
 def _load(path: str) -> Document:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise _InputError(f"cannot read {path}: {exc}") from exc
+        raise ValueError(f"cannot read {path}: {exc}") from exc
     result = parse(text)
     if not result.ok:
-        _report("parse-error", violations=_diag_json(result.diagnostics))
-        raise SystemExit(EXIT_INPUT)
+        raise _ParseFailed(result.diagnostics)
     return result.document
 
 
@@ -133,21 +152,33 @@ def _find_typoid(doc: Document, name: str | None, path: str) -> TypoidEntry:
     if name is None:
         if len(typoids) == 1:
             return next(iter(typoids.values()))
-        raise _InputError(f"{path} holds {len(typoids)} typoids; pick one with --typoid")
+        raise ValueError(f"{path} holds {len(typoids)} typoids; pick one with --typoid")
     if name not in typoids:
-        raise _InputError(f"no typoid named {name!r} in {path}")
+        raise ValueError(f"no typoid named {name!r} in {path}")
     return typoids[name]
 
 
-def _write_construction(out: str, t: Typoid, provenance: dict) -> None:
-    doc = document_for([t])
-    Path(out).write_text(serialize(doc), encoding="utf-8")
-    Path(out + ".prov.json").write_text(
-        json.dumps(provenance, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+def _typoids(args, *names: str | None) -> list[Typoid]:
+    """The typoids of `args.file` with the given entry names."""
+    doc = _load(args.file)
+    return [_find_typoid(doc, name, args.file).typoid for name in names]
 
 
-def _cmd_validate(args) -> int:
+def _write_construction(out: str, t: Typoid, provenance: dict) -> dict:
+    """Write `t` to `out` and its provenance beside it; the `ok` report."""
+    files = {
+        out: serialize(document_for([t])),
+        out + ".prov.json": json.dumps(provenance, sort_keys=True, indent=2) + "\n",
+    }
+    for path, text in files.items():
+        try:
+            Path(path).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise ValueError(f"cannot write {path}: {exc}") from exc
+    return _report("ok", stats=_stats(t))
+
+
+def _cmd_validate(args) -> dict:
     doc = _load(args.file)
     violations: list[dict] = []
     totals = {"terms": 0, "paths": 0, "edges": 0, "checks": 0}
@@ -163,45 +194,26 @@ def _cmd_validate(args) -> int:
         totals["checks"] += report.checks
         valid = valid and report.valid
         violations.extend(_law_json(report))
-    _report("valid" if valid else "invalid", violations=violations, stats=totals)
-    return EXIT_OK if valid else EXIT_PROPERTY
+    return _report("valid" if valid else "invalid", violations=violations, stats=totals)
 
 
-def _cmd_univalence(args) -> int:
-    doc = _load(args.file)
-    entry = _find_typoid(doc, args.typoid, args.file)
-    t = entry.typoid
+def _cmd_univalence(args) -> dict:
+    (t,) = _typoids(args, args.typoid)
     budget = Budget()  # one budget for the validation and the decision
     report = validate_typoid(t, budget)
     if not report.valid:
-        _report("invalid", violations=_law_json(report), stats=_stats(t, report.checks))
-        return EXIT_PROPERTY
+        return _verdict(report, _stats(t, report.checks))
     outcome = check_univalence(t, budget, report=report)
     if isinstance(outcome, NotUnivalent):
-        witness = {
-            "code": "L310",
-            "law": "Univalence",
-            "witness": list(outcome.witness_paths or ())
-            + ([outcome.witness_edge] if outcome.witness_edge is not None else []),
-            "detail": f"{outcome.reason} on hom {outcome.hom}",
-        }
-        _report("not-univalent", violations=[witness], stats=_stats(t, report.checks))
-        return EXIT_PROPERTY
-    ua = (
-        [{"edge": e, "path": p} for e, p in enumerate(outcome.ua)]
-        if args.emit_ua
-        else []
-    )
-    _report("univalent", ua=ua, stats=_stats(t, report.checks))
-    return EXIT_OK
+        return _not_univalent(outcome, _stats(t, report.checks))
+    ua = [{"edge": e, "path": p} for e, p in enumerate(outcome.ua)] if args.emit_ua else []
+    return _report("univalent", ua=ua, stats=_stats(t, report.checks))
 
 
-def _cmd_product(args) -> int:
-    doc = _load(args.file)
-    a = _find_typoid(doc, args.a, args.file).typoid
-    b = _find_typoid(doc, args.b, args.file).typoid
+def _cmd_product(args) -> dict:
+    a, b = _typoids(args, args.a, args.b)
     prod, prov = product_typoid(a, b)
-    _write_construction(
+    return _write_construction(
         args.out,
         prod,
         {
@@ -211,17 +223,13 @@ def _cmd_product(args) -> int:
             "pair_edge": sorted([e1, e2, e] for (e1, e2), e in prov.pair_edge.items()),
         },
     )
-    _report("ok", stats=_stats(prod))
-    return EXIT_OK
 
 
-def _cmd_exp(args) -> int:
-    doc = _load(args.file)
-    a = _find_typoid(doc, args.a, args.file).typoid
-    b = _find_typoid(doc, args.b, args.file).typoid
+def _cmd_exp(args) -> dict:
+    a, b = _typoids(args, args.a, args.b)
     limits = ExponentialLimits(max_terms=args.max_terms, max_edges=args.max_edges)
     exp, prov = exponential_typoid(a, b, limits)
-    _write_construction(
+    return _write_construction(
         args.out,
         exp,
         {
@@ -242,168 +250,95 @@ def _cmd_exp(args) -> int:
             ],
         },
     )
-    _report("ok", stats=_stats(exp))
-    return EXIT_OK
 
 
-def _cmd_truncate(args) -> int:
-    doc = _load(args.file)
-    t = _find_typoid(doc, args.a, args.file).typoid
-    out = truncate(t)
-    _write_construction(args.out, out, {"kind": "truncation", "source": t.name})
-    _report("ok", stats=_stats(out))
-    return EXIT_OK
-
-
-def _cmd_complete(args) -> int:
-    doc = _load(args.file)
-    t = _find_typoid(doc, args.a, args.file).typoid
-    out = univalent_completion(t)
-    _write_construction(args.out, out, {"kind": "completion", "source": t.name})
-    _report("ok", stats=_stats(out))
-    return EXIT_OK
-
-
-def _adhoc_morphism(doc: Document, args):
-    from .morphisms import TypoidMorphism
-
-    src_entry = _find_typoid(doc, args.src, args.file)
-    dst_entry = _find_typoid(doc, args.dst, args.file)
-    src, dst = src_entry.typoid, dst_entry.typoid
-
-    def build(raw: str, src_names, dst_names, total: int, what: str) -> list[int | None]:
-        table: list[int | None] = [None] * total
-        src_index = {n: i for i, n in enumerate(src_names)}
-        dst_index = {n: i for i, n in enumerate(dst_names)}
-        for name, target in _parse_assignments(raw, what).items():
-            if name not in src_index:
-                raise _InputError(f"{what} names unknown {name!r}")
-            if target not in dst_index:
-                raise _InputError(f"{what} sends {name!r} to unknown {target!r}")
-            table[src_index[name]] = dst_index[target]
-        return table
-
-    term_map = build(args.map, src_entry.term_names, dst_entry.term_names, src.term_count, "--map")
-    if any(v is None for v in term_map):
-        raise _InputError("--map must cover every term of the source")
-    path_map = build(
-        args.path_map, src_entry.path_names, dst_entry.path_names, src.base.path_count, "--path-map"
-    )
-    edge_map = build(
-        args.edge_map, src_entry.edge_names, dst_entry.edge_names, src.layer.edge_count, "--edge-map"
-    )
-    for x in range(src.term_count):
-        if path_map[src.base.refl[x]] is None:
-            path_map[src.base.refl[x]] = dst.base.refl[term_map[x]]
-        if edge_map[src.layer.eqv[x]] is None:
-            edge_map[src.layer.eqv[x]] = dst.layer.eqv[term_map[x]]
-    for table, names, flag in (
-        (path_map, src_entry.path_names, "--path-map"),
-        (edge_map, src_entry.edge_names, "--edge-map"),
-    ):
-        for i, v in enumerate(table):
-            if v is None:
-                raise _InputError(f"{flag} misses {names[i]!r}")
-    return TypoidMorphism(
-        name="cli",
-        source=src,
-        target=dst,
-        term_map=tuple(term_map),
-        path_map=tuple(path_map),
-        edge_map=tuple(edge_map),
-    )
-
-
-def _cmd_check_fun(args) -> int:
-    doc = _load(args.file)
-    if args.morphism is not None:
-        morphisms = doc.morphism_entries()
-        if args.morphism not in morphisms:
-            raise _InputError(f"no morphism named {args.morphism!r} in {args.file}")
-        m = morphisms[args.morphism].morphism
-    elif args.src and args.dst:
-        m = _adhoc_morphism(doc, args)
+def _cmd_rebuild(args) -> dict:
+    """`truncate` and `complete`: one typoid in, one rebuilt typoid out."""
+    (t,) = _typoids(args, args.a)
+    if args.command == "truncate":
+        out, kind = truncate(t), "truncation"
     else:
-        raise _InputError("check-fun needs --morphism, or --from/--to with the map flags")
-    report = validate_morphism(m, check_base=not args.no_ap)
-    stats = _stats(m.source, report.checks)
-    _report("valid" if report.valid else "invalid", violations=_law_json(report), stats=stats)
-    return EXIT_OK if report.valid else EXIT_PROPERTY
+        out, kind = univalent_completion(t), "completion"
+    return _write_construction(args.out, out, {"kind": kind, "source": t.name})
 
 
-def _parse_assignments(raw: str, what: str) -> dict[str, str]:
-    out: dict[str, str] = {}
-    if not raw:
-        return out
+def _id_table(raw: str, flag: str, what: str, src_names, dst_names, table: list) -> tuple[int, ...]:
+    """`table` with the rows that `raw` ("name:name,...") assigns put in as
+    ids; every row must then be filled."""
+    rows: dict[str, str] = {}
     for item in raw.split(","):
         item = item.strip()
         if not item:
             continue
-        if ":" not in item:
-            raise _InputError(f"bad {what} entry {item!r}; expected name:name")
-        k, v = item.split(":", 1)
-        out[k.strip()] = v.strip()
-    return out
+        name, colon, target = item.partition(":")
+        if not colon:
+            raise ValueError(f"bad {flag} entry {item!r}; expected name:name")
+        rows[name.strip()] = target.strip()
+    src_ids = {n: i for i, n in enumerate(src_names)}
+    dst_ids = {n: i for i, n in enumerate(dst_names)}
+    for name, target in rows.items():
+        if name not in src_ids:
+            raise ValueError(f"{flag} names unknown {what} {name!r}")
+        if target not in dst_ids:
+            raise ValueError(f"{flag} sends {name!r} to unknown {what} {target!r}")
+        table[src_ids[name]] = dst_ids[target]
+    for i, v in enumerate(table):
+        if v is None:
+            raise ValueError(f"{flag} misses {what} {src_names[i]!r}")
+    return tuple(table)
 
 
-def _cmd_induce(args) -> int:
-    from .univalence import induce_morphism
-
-    doc = _load(args.file)
+def _named_maps(doc: Document, args, edges: bool):
+    """The typoids named by --from/--to and the id tables that --map,
+    --path-map and (if `edges`) --edge-map give.  The rows of refl paths and
+    eqv edges default to those of the image terms."""
     src_entry = _find_typoid(doc, args.src, args.file)
     dst_entry = _find_typoid(doc, args.dst, args.file)
     src, dst = src_entry.typoid, dst_entry.typoid
-
-    term_names = {n: i for i, n in enumerate(src_entry.term_names)}
-    dst_terms = {n: i for i, n in enumerate(dst_entry.term_names)}
-    path_names = {n: i for i, n in enumerate(src_entry.path_names)}
-    dst_paths = {n: i for i, n in enumerate(dst_entry.path_names)}
-
-    raw_map = _parse_assignments(args.map, "--map")
-    raw_paths = _parse_assignments(args.path_map, "--path-map")
-    term_map = [0] * src.term_count
-    for name, i in term_names.items():
-        if name not in raw_map:
-            raise _InputError(f"--map misses term {name!r}")
-        if raw_map[name] not in dst_terms:
-            raise _InputError(f"--map sends {name!r} to unknown term {raw_map[name]!r}")
-        term_map[i] = dst_terms[raw_map[name]]
-    path_map = [0] * src.base.path_count
-    for x in range(src.term_count):
-        path_map[src.base.refl[x]] = dst.base.refl[term_map[x]]
-    for name, i in path_names.items():
-        if name in raw_paths:
-            if raw_paths[name] not in dst_paths:
-                raise _InputError(f"--path-map sends {name!r} to unknown path {raw_paths[name]!r}")
-            path_map[i] = dst_paths[raw_paths[name]]
-        elif i >= src.term_count:
-            raise _InputError(f"--path-map misses path {name!r}")
-
-    try:
-        m = induce_morphism(src, dst, tuple(term_map), tuple(path_map))
-    except NotUnivalentError as exc:
-        witness = exc.witness
-        _report(
-            "not-univalent",
-            violations=[
-                {
-                    "code": "L310",
-                    "law": "Univalence",
-                    "witness": list(witness.witness_paths or ())
-                    + ([witness.witness_edge] if witness.witness_edge is not None else []),
-                    "detail": f"{witness.reason} on hom {witness.hom} of {src.name!r}",
-                }
-            ],
-            stats=_stats(src),
-        )
-        return EXIT_PROPERTY
-    report = validate_morphism(m)
-    _report(
-        "valid" if report.valid else "invalid",
-        violations=_law_json(report),
-        stats=_stats(src, report.checks),
+    term_map = _id_table(
+        args.map, "--map", "term", src_entry.term_names, dst_entry.term_names, [None] * src.term_count
     )
-    return EXIT_OK if report.valid else EXIT_PROPERTY
+    paths: list[int | None] = [None] * src.base.path_count
+    for x, y in enumerate(term_map):
+        paths[src.base.refl[x]] = dst.base.refl[y]
+    maps = [
+        term_map,
+        _id_table(args.path_map, "--path-map", "path", src_entry.path_names, dst_entry.path_names, paths),
+    ]
+    if edges:
+        eqvs: list[int | None] = [None] * src.layer.edge_count
+        for x, y in enumerate(term_map):
+            eqvs[src.layer.eqv[x]] = dst.layer.eqv[y]
+        maps.append(
+            _id_table(args.edge_map, "--edge-map", "edge", src_entry.edge_names, dst_entry.edge_names, eqvs)
+        )
+    return src, dst, maps
+
+
+def _cmd_check_fun(args) -> dict:
+    doc = _load(args.file)
+    if args.morphism is not None:
+        morphisms = doc.morphism_entries()
+        if args.morphism not in morphisms:
+            raise ValueError(f"no morphism named {args.morphism!r} in {args.file}")
+        m = morphisms[args.morphism].morphism
+    elif args.src and args.dst:
+        src, dst, maps = _named_maps(doc, args, edges=True)
+        m = TypoidMorphism("cli", src, dst, *maps)
+    else:
+        raise ValueError("check-fun needs --morphism, or --from/--to with the map flags")
+    report = validate_morphism(m, check_base=not args.no_ap)
+    return _verdict(report, _stats(m.source, report.checks))
+
+
+def _cmd_induce(args) -> dict:
+    src, dst, maps = _named_maps(_load(args.file), args, edges=False)
+    try:
+        m = induce_morphism(src, dst, *maps)
+    except NotUnivalentError as exc:
+        return _not_univalent(exc.witness, _stats(src), f" of {src.name!r}")
+    report = validate_morphism(m)
+    return _verdict(report, _stats(src, report.checks))
 
 
 # kind -> base groupoid, name prefix, what its one argument is, and the
@@ -415,34 +350,37 @@ _EQUALITY_GENERATORS = {
 }
 
 
-def _cmd_gen(args) -> int:
+def _cmd_gen(args) -> dict:
     kind = args.kind
     params = args.args
     if kind == "universe":
         if not params:
-            raise _InputError("gen universe takes the set cardinalities")
+            raise ValueError("gen universe takes the set cardinalities")
         sizes = [int(p) for p in params]
         t = universe_typoid(sizes)
         meta = {"kind": "generator", "generator": "universe", "args": sizes}
-    elif kind in _EQUALITY_GENERATORS:
+    else:
         groupoid, prefix, argument, triples = _EQUALITY_GENERATORS[kind]
         if len(params) != 1:
-            raise _InputError(f"gen {kind} takes one argument: {argument}")
+            raise ValueError(f"gen {kind} takes one argument: {argument}")
         n = int(params[0])
         # validation spends one law instance per composable triple, so a size
         # the budget cannot pay for is refused before its tables are built
         Budget().spend(triples(max(n, 0)))
         t = equality_typoid(groupoid(n), name=f"{prefix}{params[0]}")
         meta = {"kind": "generator", "generator": kind, "args": [n]}
-    else:
-        raise _InputError(f"unknown generator {kind!r}")
-    _write_construction(args.out, t, meta)
-    _report("ok", stats=_stats(t))
-    return EXIT_OK
+    return _write_construction(args.out, t, meta)
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """Raises a bad command line as ValueError, to end in an E000 report."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="typoid", description=__doc__)
+    parser = _ArgumentParser(prog="typoid", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="check every law of every declaration in a file")
@@ -471,17 +409,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-edges", type=int, default=256)
     p.set_defaults(func=_cmd_exp)
 
-    p = sub.add_parser("truncate", help="collapse the layer to one edge per hom")
-    p.add_argument("file")
-    p.add_argument("a")
-    p.add_argument("-o", "--out", required=True)
-    p.set_defaults(func=_cmd_truncate)
-
-    p = sub.add_parser("complete", help="regrow the base groupoid from the cell classes")
-    p.add_argument("file")
-    p.add_argument("a")
-    p.add_argument("-o", "--out", required=True)
-    p.set_defaults(func=_cmd_complete)
+    for name, help in (
+        ("truncate", "collapse the layer to one edge per hom"),
+        ("complete", "regrow the base groupoid from the cell classes"),
+    ):
+        p = sub.add_parser(name, help=help)
+        p.add_argument("file")
+        p.add_argument("a")
+        p.add_argument("-o", "--out", required=True)
+        p.set_defaults(func=_cmd_rebuild)
 
     p = sub.add_parser("check-fun", help="validate a declared or command-line morphism")
     p.add_argument("file")
@@ -512,24 +448,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except _InputError as exc:
-        _report("input-error", violations=[{"code": "E000", "message": str(exc)}])
-        return EXIT_INPUT
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_INPUT
+        args = build_parser().parse_args(argv)
+        report = args.func(args)
+    except _ParseFailed as exc:
+        report = exc.report
     except ResourceLimitError as exc:
-        _report(
+        report = _report(
             "resource-limit",
             violations=[{"code": "R000", "bound": exc.bound, "message": exc.detail}],
         )
-        return EXIT_RESOURCE
     except ValueError as exc:
-        _report("input-error", violations=[{"code": "E000", "message": str(exc)}])
-        return EXIT_INPUT
+        report = _report("input-error", violations=[{"code": "E000", "message": str(exc)}])
+    print(json.dumps(report, sort_keys=True))
+    return _EXIT_CODES[report["result"]]
 
 
 if __name__ == "__main__":

@@ -643,18 +643,22 @@ def universe_typoid(
     sets = tuple(sets)
     if any(n < 0 for n in sets):
         raise ValueError("cardinalities must be non-negative")
+    # count the bijections only up to the bound, so a large set costs no
+    # more than a small one before it is refused
     total = 0
-    for i, ni in enumerate(sets):
+    for ni in sets:
         for nj in sets:
             if ni == nj:
                 f = 1
                 for k in range(2, ni + 1):
                     f *= k
+                    if total + f > max_edges:
+                        break
                 total += f
-    if total > max_edges:
-        raise ResourceLimitError(
-            "universe-size", f"{total} bijections needed, bound is {max_edges}"
-        )
+                if total > max_edges:
+                    raise ResourceLimitError(
+                        "universe-size", f"more than {max_edges} bijections needed"
+                    )
 
     perms: list[tuple[int, int, tuple[int, ...]]] = []
     pid: dict[tuple[int, int, tuple[int, ...]], int] = {}

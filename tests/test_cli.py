@@ -5,6 +5,9 @@ from __future__ import annotations
 import json
 import time
 
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
 from typoid import cli
 from typoid.dsl import _MISSING_SHOWN, parse
 
@@ -287,3 +290,140 @@ def test_missing_star_rows_are_reported_up_to_a_cap(tmp_path, capsys):
     assert len(messages) == _MISSING_SHOWN + 1
     assert messages[0] == "missing star entry for 'e0' * 'e0' in typoid 'A'"
     assert messages[-1] == f"{490_000 - _MISSING_SHOWN} more missing star entries in typoid 'A'"
+
+
+def test_gen_universe_refuses_large_sets_quickly(tmp_path, capsys):
+    # the bijection count stops at the bound instead of multiplying out n!
+    for size in ("2000", str(10**6)):
+        out = tmp_path / "u.typoid"
+        start = time.perf_counter()
+        code, report = run(capsys, "gen", "universe", size, "-o", str(out))
+        assert time.perf_counter() - start < 1.0, size
+        assert code == 3, size
+        assert report["violations"][0]["bound"] == "universe-size"
+        assert not out.exists()
+
+
+def test_unwritable_output_is_an_input_error(tmp_path, capsys):
+    for out in (tmp_path / "no" / "such" / "x.typoid", tmp_path):
+        code, report = run(capsys, "gen", "equality", "3", "-o", str(out))
+        assert code == 2, out
+        assert report["result"] == "input-error"
+        assert report["violations"][0]["code"] == "E000"
+        assert report["violations"][0]["message"].startswith(f"cannot write {out}: ")
+
+
+def test_induce_rejects_unknown_source_names(tmp_path, capsys):
+    f = tmp_path / "ab.typoid"
+    f.write_text(AB)
+    for flags, message in (
+        (["--map", "x:x,zz:x", "--path-map", "p:p"], "--map names unknown term 'zz'"),
+        (["--map", "x:x", "--path-map", "p:p,nope:p"], "--path-map names unknown path 'nope'"),
+    ):
+        code, report = run(capsys, "induce", str(f), "--from", "A", "--to", "A", *flags)
+        assert code == 2, flags
+        assert report["violations"] == [{"code": "E000", "message": message}]
+
+
+def test_checkfun_names_the_term_its_map_misses(tmp_path, capsys):
+    f = tmp_path / "ab.typoid"
+    f.write_text(AB)
+    code, report = run(capsys, "check-fun", str(f), "--from", "A", "--to", "A", "--path-map", "p:p")
+    assert code == 2
+    assert report["violations"] == [{"code": "E000", "message": "--map misses term 'x'"}]
+
+
+def test_bad_command_lines_end_in_one_report(tmp_path, capsys):
+    f = tmp_path / "ab.typoid"
+    f.write_text(AB)
+    out = tmp_path / "e.typoid"
+    for argv in ([], ["bogus"], ["exp", str(f), "A", "B", "-o", str(out), "--max-terms", "abc"]):
+        code = cli.main(argv)
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 2, argv
+        assert len(lines) == 1, argv
+        report = json.loads(lines[0])
+        assert report["result"] == "input-error"
+        assert [v["code"] for v in report["violations"]] == ["E000"]
+    assert not out.exists()
+
+
+_COMMANDS = ("validate", "univalence", "product", "exp", "truncate", "complete", "check-fun", "induce", "gen")
+_KINDS = ("equality", "universe", "discrete", "prop")
+# the names of AB, and two that it lacks (`y` and `q` let `check-fun` and
+# `induce` succeed too)
+_NAMES = ("A", "B", "x", "y", "p", "q", "zz")
+_NUMBERS = ("-1", "0", "1", "2", "3", "abc", "99999999999")
+_OPERANDS = {"product": 2, "exp": 2, "truncate": 1, "complete": 1}
+_FLAGS = {
+    "univalence": ("--typoid", "--emit-ua"),
+    "product": ("-o",),
+    "exp": ("-o", "--max-terms", "--max-edges"),
+    "truncate": ("-o",),
+    "complete": ("-o",),
+    "check-fun": ("--morphism", "--from", "--to", "--map", "--path-map", "--edge-map", "--no-ap"),
+    "induce": ("--from", "--to", "--map", "--path-map"),
+    "gen": ("-o",),
+}
+_ALL_FLAGS = tuple(sorted({flag for flags in _FLAGS.values() for flag in flags}))
+
+
+@st.composite
+def _command_lines(draw, files, outs):
+    """Mostly a subcommand with its positionals and some of its flags;
+    sometimes any tokens at all.  Every token comes from one small alphabet."""
+    names, numbers = st.sampled_from(_NAMES), st.sampled_from(_NUMBERS)
+    typoids = st.one_of(st.sampled_from(("A", "B")), names)  # mostly names that exist
+    pairs = st.lists(st.builds("{}:{}".format, names, names), min_size=1, max_size=3).map(",".join)
+    assignments = st.one_of(st.sampled_from(("x:x", "p:p", "q:q")), pairs)  # often a lawful row
+    anything = st.one_of(names, numbers, files, outs, assignments)
+    rarely = st.integers(0, 9).map(lambda k: k == 0)
+    if draw(rarely):
+        return draw(st.lists(st.one_of(st.sampled_from(_COMMANDS + _KINDS + _ALL_FLAGS), anything), max_size=6))
+    command = draw(st.sampled_from(_COMMANDS))
+    if command == "gen":
+        count = draw(st.integers(0, 3)) if draw(rarely) else 1
+        argv = [command, draw(st.sampled_from(_KINDS)), *draw(st.lists(numbers, min_size=count, max_size=count))]
+    else:
+        arity = _OPERANDS.get(command, 0)
+        argv = [command, draw(files), *draw(st.lists(typoids, min_size=arity, max_size=arity))]
+    own = _FLAGS.get(command, ())
+    flags = draw(st.lists(st.sampled_from(own), unique=True)) if own else []
+    if "-o" in own and "-o" not in flags and not draw(rarely):
+        flags.insert(0, "-o")  # required
+    if draw(rarely):
+        flags.append(draw(st.sampled_from(_ALL_FLAGS)))
+    for flag in flags:
+        argv.append(flag)
+        if flag in ("--emit-ua", "--no-ap"):
+            continue
+        if draw(rarely):
+            argv.append(draw(anything))
+        elif flag == "-o":
+            argv.append(draw(outs))
+        elif flag.startswith("--max"):
+            argv.append(draw(numbers))
+        else:
+            argv.append(draw(assignments if flag.endswith("map") else typoids))
+    return argv
+
+
+@settings(
+    max_examples=200,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_random_command_lines_end_in_one_report(tmp_path, capsys, monkeypatch, data):
+    monkeypatch.chdir(tmp_path)  # a name drawn as `-o` value is a relative path
+    fixture = tmp_path / "ab.typoid"
+    fixture.write_text(AB)  # an `-o` drawn before may have overwritten it
+    files = st.sampled_from((str(fixture),) * 4 + (str(tmp_path / "missing.typoid"),))
+    outs = st.sampled_from((str(tmp_path / "out.typoid"), str(tmp_path), str(tmp_path / "no" / "o.typoid")))
+    argv = data.draw(_command_lines(files, outs))
+    code = cli.main(argv)
+    lines = capsys.readouterr().out.splitlines()
+    assert code in (0, 1, 2, 3)
+    assert len(lines) == 1
+    assert cli._EXIT_CODES[json.loads(lines[0])["result"]] == code
