@@ -170,11 +170,15 @@ def _write_construction(out: str, t: Typoid, provenance: dict) -> dict:
         out: serialize(document_for([t])),
         out + ".prov.json": json.dumps(provenance, sort_keys=True, indent=2) + "\n",
     }
+    written: list[Path] = []
     for path, text in files.items():
         try:
             Path(path).write_text(text, encoding="utf-8")
         except OSError as exc:
+            for done in written:  # leave no file without its sidecar
+                done.unlink(missing_ok=True)
             raise ValueError(f"cannot write {path}: {exc}") from exc
+        written.append(Path(path))
     return _report("ok", stats=_stats(t))
 
 
@@ -183,14 +187,15 @@ def _cmd_validate(args) -> dict:
     violations: list[dict] = []
     totals = {"terms": 0, "paths": 0, "edges": 0, "checks": 0}
     valid = True
+    budget = Budget()  # one budget for every declaration of the file
     for entry in doc.entries:
         if isinstance(entry, TypoidEntry):
-            report = validate_typoid(entry.typoid)
+            report = validate_typoid(entry.typoid, budget)
             totals["terms"] += entry.typoid.term_count
             totals["paths"] += entry.typoid.base.path_count
             totals["edges"] += entry.typoid.layer.edge_count
         else:
-            report = validate_morphism(entry.morphism)
+            report = validate_morphism(entry.morphism, budget)
         totals["checks"] += report.checks
         valid = valid and report.valid
         violations.extend(_law_json(report))

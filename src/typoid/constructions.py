@@ -19,7 +19,10 @@ from .model import (
     FiniteGroupoid,
     ResourceLimitError,
     Typoid,
+    _edges,
+    _Level,
     _out_index,
+    _paths,
     validate_groupoid,
     validate_typoid,
 )
@@ -29,51 +32,55 @@ from .morphisms import TypoidMorphism, _backtrack, find_path_functor, iter_path_
 # ---------------------------------------------------------------------------
 # canonical id layout
 
+# a level's fields after its words are the table fields, in order
+
+def _groupoid(paths: _Level) -> FiniteGroupoid:
+    return FiniteGroupoid(*paths[1:7])
+
+
+def _layer(edges: _Level) -> EquivalenceLayer:
+    return EquivalenceLayer(*edges[1:7], tuple(edges.cell))
+
+
+def _units_first(level: _Level) -> tuple[_Level, dict[int, int]]:
+    """Permute a level's ids so the units come first, in term order, and
+    label each cell with its least new id, since the least member of a
+    class may change.  Returns the level and the old-to-new id map."""
+    n = len(level.src)
+    units = set(level.unit)
+    order = list(dict.fromkeys(level.unit)) + [i for i in range(n) if i not in units]
+    new = {old: i for i, old in enumerate(order)}
+    members: dict[int, list[int]] = {}
+    for old in range(n):
+        members.setdefault(level.cell[old], []).append(new[old])
+    cell = [0] * n
+    for ids in members.values():
+        least = min(ids)
+        for i in ids:
+            cell[i] = least
+    permuted = level._replace(
+        src=tuple(level.src[i] for i in order),
+        dst=tuple(level.dst[i] for i in order),
+        unit=tuple(new[level.unit[x]] for x in range(level.term_count)),
+        table={(new[p], new[q]): new[r] for (p, q), r in level.table.items()},
+        inv=tuple(new[level.inv[i]] for i in order),
+        cell=tuple(cell),
+    )
+    return permuted, new
+
+
 def _renumber(t: Typoid) -> tuple[Typoid, dict[int, int], dict[int, int]]:
     """Permute path and edge ids so refl and eqv come first, in term order.
 
     Returns the renumbered typoid and the old-to-new id maps for paths and
-    edges.  Cell labels are recomputed since the least member of a class may
-    change under the permutation.
+    edges.
     """
-    base, layer = t.base, t.layer
-    refl, eqv = set(base.refl), set(layer.eqv)
-    path_order = list(dict.fromkeys(base.refl))
-    path_order += [p for p in range(base.path_count) if p not in refl]
-    pmap = {old: new for new, old in enumerate(path_order)}
-    edge_order = list(dict.fromkeys(layer.eqv))
-    edge_order += [e for e in range(layer.edge_count) if e not in eqv]
-    emap = {old: new for new, old in enumerate(edge_order)}
-
-    new_base = FiniteGroupoid(
-        term_count=base.term_count,
-        path_src=tuple(base.path_src[p] for p in path_order),
-        path_dst=tuple(base.path_dst[p] for p in path_order),
-        refl=tuple(pmap[base.refl[x]] for x in range(base.term_count)),
-        comp={(pmap[p], pmap[q]): pmap[r] for (p, q), r in base.comp.items()},
-        inv=tuple(pmap[base.inv[p]] for p in path_order),
-    )
-    new_cell = [0] * layer.edge_count
-    members_by_class: dict[int, list[int]] = {}
-    for old in range(layer.edge_count):
-        members_by_class.setdefault(layer.cell[old], []).append(emap[old])
-    for members in members_by_class.values():
-        rep = min(members)
-        for e in members:
-            new_cell[e] = rep
-    new_layer = EquivalenceLayer(
-        term_count=layer.term_count,
-        edge_src=tuple(layer.edge_src[e] for e in edge_order),
-        edge_dst=tuple(layer.edge_dst[e] for e in edge_order),
-        eqv=tuple(emap[layer.eqv[x]] for x in range(layer.term_count)),
-        star={(emap[e], emap[d]): emap[r] for (e, d), r in layer.star.items()},
-        einv=tuple(emap[layer.einv[e]] for e in edge_order),
-        cell=tuple(new_cell),
-    )
-    new_idtoeqv = [0] * base.path_count
-    for old in range(base.path_count):
-        new_idtoeqv[pmap[old]] = emap[t.idtoeqv[old]]
-    out = Typoid(name=t.name, base=new_base, layer=new_layer, idtoeqv=tuple(new_idtoeqv))
+    paths, pmap = _units_first(_paths(t.base))
+    edges, emap = _units_first(_edges(t.layer))
+    idtoeqv = [0] * len(pmap)
+    for old, new in pmap.items():
+        idtoeqv[new] = emap[t.idtoeqv[old]]
+    out = Typoid(name=t.name, base=_groupoid(paths), layer=_layer(edges), idtoeqv=tuple(idtoeqv))
     return out, pmap, emap
 
 
@@ -163,16 +170,7 @@ def equality_typoid(g: FiniteGroupoid, name: str = "eq") -> Typoid:
 
 def _equality(g: FiniteGroupoid, name: str) -> Typoid:
     """The equality typoid of a valid groupoid, in canonical id layout."""
-    layer = EquivalenceLayer(
-        term_count=g.term_count,
-        edge_src=g.path_src,
-        edge_dst=g.path_dst,
-        eqv=g.refl,
-        star=dict(g.comp),
-        einv=g.inv,
-        cell=tuple(range(g.path_count)),
-    )
-    t = Typoid(name=name, base=g, layer=layer, idtoeqv=tuple(range(g.path_count)))
+    t = Typoid(name=name, base=g, layer=_layer(_paths(g)), idtoeqv=tuple(range(g.path_count)))
     out, _, _ = _renumber(t)
     return out
 
@@ -214,108 +212,59 @@ class ProductProvenance:
     split_path: tuple[tuple[int, int], ...]
 
 
+def _pairs(col1, col2, n2: int) -> tuple[int, ...]:
+    """The pair (i, j) numbered i * n2 + j, for i in col1 and j in col2."""
+    return tuple(i * n2 + j for i in col1 for j in col2)
+
+
+def _pair(l1: _Level, l2: _Level) -> _Level:
+    """The product of two levels: terms, ids, units, composites, inverses
+    and cells are pairs."""
+    t2, n2 = l2.term_count, len(l2.src)
+    return l1._replace(
+        term_count=l1.term_count * t2,
+        src=_pairs(l1.src, l2.src, t2),
+        dst=_pairs(l1.dst, l2.dst, t2),
+        unit=_pairs(l1.unit, l2.unit, n2),
+        table={
+            (p1 * n2 + p2, q1 * n2 + q2): r1 * n2 + r2
+            for (p1, q1), r1 in l1.table.items()
+            for (p2, q2), r2 in l2.table.items()
+        },
+        inv=_pairs(l1.inv, l2.inv, n2),
+        # the least pair in a product class is the pair of least members
+        cell=_pairs(l1.cell, l2.cell, n2),
+    )
+
+
+def _pairing(
+    n1: int, n2: int, new: dict[int, int]
+) -> tuple[dict[tuple[int, int], int], tuple[tuple[int, int], ...]]:
+    """The pairing table of a product level, sending (i, j) to its
+    renumbered id, and the splitting table that inverts it."""
+    pair = {(i, j): new[i * n2 + j] for i in range(n1) for j in range(n2)}
+    split = [(0, 0)] * (n1 * n2)
+    for ij, k in pair.items():
+        split[k] = ij
+    return pair, tuple(split)
+
+
 def product_typoid(a: Typoid, b: Typoid, name: str | None = None) -> tuple[Typoid, ProductProvenance]:
     """Componentwise product: terms, paths, edges and cells are pairs."""
     _require_valid_typoid(a)
     _require_valid_typoid(b)
-    name = name or f"{a.name}_x_{b.name}"
-    tb = b.term_count
-    pb = b.base.path_count
     eb = b.layer.edge_count
-
-    def term(x: int, y: int) -> int:
-        return x * tb + y
-
-    def pid(p1: int, p2: int) -> int:
-        return p1 * pb + p2
-
-    def eid(e1: int, e2: int) -> int:
-        return e1 * eb + e2
-
-    pa, ea = a.base.path_count, a.layer.edge_count
-    base = FiniteGroupoid(
-        term_count=a.term_count * tb,
-        path_src=tuple(
-            term(a.base.path_src[p1], b.base.path_src[p2])
-            for p1 in range(pa)
-            for p2 in range(pb)
-        ),
-        path_dst=tuple(
-            term(a.base.path_dst[p1], b.base.path_dst[p2])
-            for p1 in range(pa)
-            for p2 in range(pb)
-        ),
-        refl=tuple(
-            pid(a.base.refl[x], b.base.refl[y])
-            for x in range(a.term_count)
-            for y in range(tb)
-        ),
-        comp={
-            (pid(p1, p2), pid(q1, q2)): pid(r1, r2)
-            for (p1, q1), r1 in a.base.comp.items()
-            for (p2, q2), r2 in b.base.comp.items()
-        },
-        inv=tuple(
-            pid(a.base.inv[p1], b.base.inv[p2]) for p1 in range(pa) for p2 in range(pb)
-        ),
+    product = Typoid(
+        name=name or f"{a.name}_x_{b.name}",
+        base=_groupoid(_pair(_paths(a.base), _paths(b.base))),
+        layer=_layer(_pair(_edges(a.layer), _edges(b.layer))),
+        idtoeqv=_pairs(a.idtoeqv, b.idtoeqv, eb),
     )
-    layer = EquivalenceLayer(
-        term_count=base.term_count,
-        edge_src=tuple(
-            term(a.layer.edge_src[e1], b.layer.edge_src[e2])
-            for e1 in range(ea)
-            for e2 in range(eb)
-        ),
-        edge_dst=tuple(
-            term(a.layer.edge_dst[e1], b.layer.edge_dst[e2])
-            for e1 in range(ea)
-            for e2 in range(eb)
-        ),
-        eqv=tuple(
-            eid(a.layer.eqv[x], b.layer.eqv[y])
-            for x in range(a.term_count)
-            for y in range(tb)
-        ),
-        star={
-            (eid(e1, e2), eid(d1, d2)): eid(r1, r2)
-            for (e1, d1), r1 in a.layer.star.items()
-            for (e2, d2), r2 in b.layer.star.items()
-        },
-        einv=tuple(
-            eid(a.layer.einv[e1], b.layer.einv[e2])
-            for e1 in range(ea)
-            for e2 in range(eb)
-        ),
-        # the least pair in a product class is the pair of least members
-        cell=tuple(
-            eid(a.layer.cell[e1], b.layer.cell[e2])
-            for e1 in range(ea)
-            for e2 in range(eb)
-        ),
-    )
-    idtoeqv = tuple(
-        eid(a.idtoeqv[p1], b.idtoeqv[p2]) for p1 in range(pa) for p2 in range(pb)
-    )
-    out, pmap, emap = _renumber(Typoid(name=name, base=base, layer=layer, idtoeqv=idtoeqv))
-
-    pair_edge = {
-        (e1, e2): emap[eid(e1, e2)] for e1 in range(ea) for e2 in range(eb)
-    }
-    split_edge: list[tuple[int, int]] = [(0, 0)] * (ea * eb)
-    for (e1, e2), e in pair_edge.items():
-        split_edge[e] = (e1, e2)
-    pair_path = {
-        (p1, p2): pmap[pid(p1, p2)] for p1 in range(pa) for p2 in range(pb)
-    }
-    split_path: list[tuple[int, int]] = [(0, 0)] * (pa * pb)
-    for (p1, p2), p in pair_path.items():
-        split_path[p] = (p1, p2)
+    out, pmap, emap = _renumber(product)
+    pair_path, split_path = _pairing(a.base.path_count, b.base.path_count, pmap)
+    pair_edge, split_edge = _pairing(a.layer.edge_count, eb, emap)
     prov = ProductProvenance(
-        factors=(a, b),
-        pair_edge=pair_edge,
-        split_edge=tuple(split_edge),
-        pair_path=pair_path,
-        split_path=tuple(split_path),
+        factors=(a, b), pair_edge=pair_edge, split_edge=split_edge, pair_path=pair_path, split_path=split_path
     )
     return out, prov
 
@@ -333,23 +282,17 @@ def _check_provenance(p: Typoid, prov: ProductProvenance) -> None:
 def projections(p: Typoid, prov: ProductProvenance) -> tuple[TypoidMorphism, TypoidMorphism]:
     """The two factor projections; both are strict."""
     _check_provenance(p, prov)
-    a, b = prov.factors
-    tb = b.term_count
-    first = TypoidMorphism(
-        name="pr1",
-        source=p,
-        target=a,
-        term_map=tuple(z // tb for z in range(p.term_count)),
-        path_map=tuple(prov.split_path[q][0] for q in range(p.base.path_count)),
-        edge_map=tuple(prov.split_edge[e][0] for e in range(p.layer.edge_count)),
-    )
-    second = TypoidMorphism(
-        name="pr2",
-        source=p,
-        target=b,
-        term_map=tuple(z % tb for z in range(p.term_count)),
-        path_map=tuple(prov.split_path[q][1] for q in range(p.base.path_count)),
-        edge_map=tuple(prov.split_edge[e][1] for e in range(p.layer.edge_count)),
+    tb = prov.factors[1].term_count
+    first, second = (
+        TypoidMorphism(
+            name=f"pr{k + 1}",
+            source=p,
+            target=prov.factors[k],
+            term_map=tuple(divmod(z, tb)[k] for z in range(p.term_count)),
+            path_map=tuple(pair[k] for pair in prov.split_path),
+            edge_map=tuple(pair[k] for pair in prov.split_edge),
+        )
+        for k in (0, 1)
     )
     return first, second
 
@@ -494,6 +437,11 @@ def univalent_completion(t: Typoid, name: str | None = None) -> Typoid:
 class ExponentialLimits:
     max_terms: int = 64
     max_edges: int = 256
+
+    def __post_init__(self):
+        for bound in ("max_terms", "max_edges"):
+            if getattr(self, bound) < 0:
+                raise ValueError(f"{bound} must be non-negative, got {getattr(self, bound)}")
 
 
 @dataclass(frozen=True)

@@ -47,7 +47,7 @@ from itertools import islice
 from typing import NamedTuple
 
 from .constructions import _renumber
-from .model import CellPartition, EquivalenceLayer, FiniteGroupoid, Typoid, _out_index
+from .model import CellPartition, EquivalenceLayer, FiniteGroupoid, Typoid, _edges, _Level, _out_index, _paths
 from .morphisms import TypoidMorphism
 
 # E-code table
@@ -504,6 +504,40 @@ def _assemble(
     return ParseResult(document=Document(entries=entries), diagnostics=ordered)
 
 
+class _Syntax(NamedTuple):
+    """How a level reads and writes: its declaration keyword and arrow, its
+    composition keyword and operator, and its inverse keyword."""
+
+    item: str
+    arrow: str
+    comp: str
+    op: str
+    inv: str
+
+
+_PATH_SYNTAX = _Syntax("path", "->", "comp", ".", "pinv")
+_EDGE_SYNTAX = _Syntax("edge", "~", "star", "*", "einv")
+
+
+class _Ids(NamedTuple):
+    """A level under assembly: the id, name and endpoints of each path or
+    edge declared so far.  The unit of term x is id x."""
+
+    syntax: _Syntax
+    ids: dict[str, int]
+    names: list[str]
+    src: list[int]
+    dst: list[int]
+
+    def add(self, name: str, src: int, dst: int, i: int | None = None) -> None:
+        """Declare `name` with the next position in the lists, and with id
+        `i` if given (a designated eqv edge keeps its term's id)."""
+        self.ids[name] = len(self.names) if i is None else i
+        self.names.append(name)
+        self.src.append(src)
+        self.dst.append(dst)
+
+
 def _assemble_typoid(
     raw: _RawTypoid, locate: Callable[[int, int], Span], diagnostics: list[Diagnostic]
 ) -> TypoidEntry | None:
@@ -532,92 +566,99 @@ def _assemble_typoid(
             if name not in table:
                 error(locate(row[-1], k + 1), E_UNKNOWN, f"unknown {what} {name!r}")
 
-    def report_missing(table, src, dst, names, what: str, op: str) -> None:
+    def declared(keyword: str, taken) -> dict[str, tuple[int, int, int]]:
+        """name -> (src, dst, statement offset) of each `keyword` row whose
+        name is neither taken nor declared before and whose terms exist."""
+        out: dict[str, tuple[int, int, int]] = {}
+        for row in raw.rows[keyword]:
+            name, at = row[0], row[-1]
+            if name in taken or name in out:
+                error(locate(at, 1), E_DUPLICATE, f"duplicate {keyword} {name!r}")
+                continue
+            try:
+                out[name] = (term_id[row[1]], term_id[row[2]], at)
+            except KeyError:
+                unknown(term_id, row, "term", 1)
+        return out
+
+    def compose(level: _Ids, absorbing) -> dict[tuple[int, int], int]:
+        """A level's composition rows (E103, E104, E106), then the rows in
+        which the unit of an `absorbing` term absorbs; E105 for the rest."""
+        item, _, keyword, op, _ = level.syntax
+        ids, src, dst = level.ids, level.src, level.dst
+        table: dict[tuple[int, int], int] = {}
+        for row in raw.rows[keyword]:
+            xn, yn, zn, at = row
+            try:
+                x, y, z = ids[xn], ids[yn], ids[zn]
+            except KeyError:
+                unknown(ids, row, item)
+                continue
+            if dst[x] != src[y]:
+                apart = ""  # paths also say where they part
+                if item == "path":
+                    apart = f": {xn!r} ends at {term_names[dst[x]]!r} but {yn!r} starts at {term_names[src[y]]!r}"
+                error(locate(at, 2), E_ENDPOINTS, f"{item}s {xn!r} and {yn!r} do not compose{apart}")
+                continue
+            if (x, y) in table:
+                error(locate(at, 1), E_CONFLICT, f"{keyword} of {xn!r} and {yn!r} declared twice")
+                continue
+            table[(x, y)] = z
+        for q in range(len(src)):
+            if src[q] in absorbing:
+                table.setdefault((src[q], q), q)
+            if dst[q] in absorbing:
+                table.setdefault((q, dst[q]), q)
         # Missing pairs are counted, not walked, so the listing stops at the
         # cap.  After a failed eqv override a default row's pair need not
         # compose, so only composable keys count as present.
         out = _out_index(src, n_terms)
         missing = sum(len(out[d]) for d in dst) - sum(dst[x] == src[y] for x, y in table)
         pairs = ((x, y) for x in range(len(src)) for y in out[dst[x]] if (x, y) not in table)
+        names = level.names
         for x, y in islice(pairs, min(missing, _MISSING_SHOWN)):
             error(
                 span, E_MISSING,
-                f"missing {what} entry for {names[x]!r} {op} {names[y]!r} in typoid {raw.name!r}",
+                f"missing {keyword} entry for {names[x]!r} {op} {names[y]!r} in typoid {raw.name!r}",
             )
         if missing > _MISSING_SHOWN:
             error(
                 span, E_MISSING,
-                f"{missing - _MISSING_SHOWN} more missing {what} entries in typoid {raw.name!r}",
+                f"{missing - _MISSING_SHOWN} more missing {keyword} entries in typoid {raw.name!r}",
             )
+        return table
+
+    def assign(keyword: str, level: _Ids, target: _Ids, defaults) -> tuple[int, ...]:
+        """One id of `target` per id of `level` from the `keyword` rows (E103,
+        E106), then id x for x in `defaults`; E105 for the rest."""
+        table: dict[int, int] = {}
+        for row in raw.rows[keyword]:
+            try:
+                x, y = level.ids[row[0]], target.ids[row[1]]
+            except KeyError:
+                unknown(level.ids, row, level.syntax.item, 0, 1)
+                unknown(target.ids, row, target.syntax.item, 1)
+                continue
+            if x in table:
+                error(locate(row[-1], 1), E_CONFLICT, f"{keyword} of {row[0]!r} declared twice")
+                continue
+            table[x] = y
+        for x in defaults:
+            table.setdefault(x, x)
+        for i, name in enumerate(level.names):
+            if i not in table:
+                error(span, E_MISSING, f"missing {keyword} entry for {name!r} in typoid {raw.name!r}")
+        return tuple(table.get(i, i) for i in range(len(level.names)))
 
     # paths: refl first, then declarations
-    path_id: dict[str, int] = {}
-    path_names: list[str] = []
-    path_src: list[int] = []
-    path_dst: list[int] = []
+    paths = _Ids(_PATH_SYNTAX, {}, [], [], [])
     for x, name in enumerate(term_names):
-        path_id[f"refl_{name}"] = x
-        path_names.append(f"refl_{name}")
-        path_src.append(x)
-        path_dst.append(x)
-    for row in raw.rows["path"]:
-        name, at = row[0], row[-1]
-        if name in path_id:
-            error(locate(at, 1), E_DUPLICATE, f"duplicate path {name!r}")
-            continue
-        try:
-            src, dst = term_id[row[1]], term_id[row[2]]
-        except KeyError:
-            unknown(term_id, row, "term", 1)
-            continue
-        path_id[name] = len(path_names)
-        path_names.append(name)
-        path_src.append(src)
-        path_dst.append(dst)
-    refl = tuple(range(n_terms))
-    n_paths = len(path_names)
-
-    comp: dict[tuple[int, int], int] = {}
-    for row in raw.rows["comp"]:
-        xn, yn, zn, at = row
-        try:
-            x, y, z = path_id[xn], path_id[yn], path_id[zn]
-        except KeyError:
-            unknown(path_id, row, "path")
-            continue
-        if path_dst[x] != path_src[y]:
-            error(
-                locate(at, 2), E_ENDPOINTS,
-                f"paths {xn!r} and {yn!r} do not compose: "
-                f"{xn!r} ends at {term_names[path_dst[x]]!r} but {yn!r} starts at {term_names[path_src[y]]!r}",
-            )
-            continue
-        if (x, y) in comp:
-            error(locate(at, 1), E_CONFLICT, f"comp of {xn!r} and {yn!r} declared twice")
-            continue
-        comp[(x, y)] = z
-    for q in range(n_paths):
-        comp.setdefault((refl[path_src[q]], q), q)
-        comp.setdefault((q, refl[path_dst[q]]), q)
-    report_missing(comp, path_src, path_dst, path_names, "comp", ".")
-
-    inv_map: dict[int, int] = {}
-    for row in raw.rows["pinv"]:
-        try:
-            x, y = path_id[row[0]], path_id[row[1]]
-        except KeyError:
-            unknown(path_id, row, "path")
-            continue
-        if x in inv_map:
-            error(locate(row[-1], 1), E_CONFLICT, f"pinv of {row[0]!r} declared twice")
-            continue
-        inv_map[x] = y
-    for x in range(n_terms):
-        inv_map.setdefault(refl[x], refl[x])
-    for x in range(n_paths):
-        if x not in inv_map:
-            error(span, E_MISSING, f"missing pinv entry for {path_names[x]!r} in typoid {raw.name!r}")
-            inv_map[x] = x
+        paths.add(f"refl_{name}", x, x)
+    for name, (src, dst, _) in declared("path", paths.ids).items():
+        paths.add(name, src, dst)
+    all_terms = range(n_terms)
+    comp = compose(paths, all_terms)
+    pinv = assign("pinv", paths, paths, all_terms)
 
     # designated eqv edges: overrides are declared edges, the rest are implicit
     override_edge: dict[int, tuple[str, int]] = {}  # term -> (edge name, statement offset)
@@ -630,173 +671,68 @@ def _assemble_typoid(
             error(locate(row[-1], 1), E_CONFLICT, f"eqv of term {row[0]!r} designated twice")
             continue
         override_edge[a] = row[1:]
+    declared_edges = declared("edge", ())
 
-    declared_edges: list[tuple[str, int, int]] = []
-    declared_edge_names: dict[str, tuple[int, int, int]] = {}  # name -> src, dst, statement offset
-    for row in raw.rows["edge"]:
-        name, at = row[0], row[-1]
-        if name in declared_edge_names:
-            error(locate(at, 1), E_DUPLICATE, f"duplicate edge {name!r}")
-            continue
-        try:
-            src, dst = term_id[row[1]], term_id[row[2]]
-        except KeyError:
-            unknown(term_id, row, "term", 1)
-            continue
-        declared_edge_names[name] = (src, dst, at)
-        declared_edges.append((name, src, dst))
-
-    edge_id: dict[str, int] = {}
-    edge_names: list[str] = []
-    edge_src: list[int] = []
-    edge_dst: list[int] = []
+    edges = _Ids(_EDGE_SYNTAX, {}, [], [], [])
     implicit_eqv: set[int] = set()
     for x, name in enumerate(term_names):
         if x in override_edge:
             en, at = override_edge[x]
-            info = declared_edge_names.get(en)
+            info = declared_edges.get(en)
             if info is None:
                 error(locate(at, 2), E_UNKNOWN, f"unknown edge {en!r}")
-                implicit_eqv.add(x)
-                edge_id[f"eqv_{name}"] = x
-                edge_names.append(f"eqv_{name}")
-                edge_src.append(x)
-                edge_dst.append(x)
-                continue
-            src, dst, _ = info
-            if (src, dst) != (x, x):
+            elif info[:2] != (x, x):
                 error(locate(at, 2), E_ENDPOINTS, f"designated eqv edge {en!r} is not an edge {name} ~ {name}")
                 continue
-            edge_id[en] = x
-            edge_names.append(en)
-            edge_src.append(x)
-            edge_dst.append(x)
-        else:
-            implicit_eqv.add(x)
-            if f"eqv_{name}" in declared_edge_names:
-                error(
-                    locate(declared_edge_names[f"eqv_{name}"][2], 1), E_DUPLICATE,
-                    f"edge name eqv_{name} collides with the implicit designated edge",
-                )
-            edge_id[f"eqv_{name}"] = x
-            edge_names.append(f"eqv_{name}")
-            edge_src.append(x)
-            edge_dst.append(x)
-    for name, src, dst in declared_edges:
-        if name in edge_id:
-            continue  # an override already placed it
-        edge_id[name] = len(edge_names)
-        edge_names.append(name)
-        edge_src.append(src)
-        edge_dst.append(dst)
-    eqv = tuple(range(n_terms))
-    n_edges = len(edge_names)
+            else:
+                edges.add(en, x, x, x)
+                continue
+        elif f"eqv_{name}" in declared_edges:
+            error(
+                locate(declared_edges[f"eqv_{name}"][2], 1), E_DUPLICATE,
+                f"edge name eqv_{name} collides with the implicit designated edge",
+            )
+        implicit_eqv.add(x)
+        edges.add(f"eqv_{name}", x, x, x)
+    for name, (src, dst, _) in declared_edges.items():
+        if name not in edges.ids:  # else an override already placed it
+            edges.add(name, src, dst)
+    absorbing = all_terms if raw.strictunits else implicit_eqv
+    star = compose(edges, absorbing)
+    einv = assign("einv", edges, edges, absorbing)
 
-    star: dict[tuple[int, int], int] = {}
-    for row in raw.rows["star"]:
-        xn, yn, zn, at = row
-        try:
-            x, y, z = edge_id[xn], edge_id[yn], edge_id[zn]
-        except KeyError:
-            unknown(edge_id, row, "edge")
-            continue
-        if edge_dst[x] != edge_src[y]:
-            error(locate(at, 2), E_ENDPOINTS, f"edges {xn!r} and {yn!r} do not compose")
-            continue
-        if (x, y) in star:
-            error(locate(at, 1), E_CONFLICT, f"star of {xn!r} and {yn!r} declared twice")
-            continue
-        star[(x, y)] = z
-    absorbing = {
-        x for x in range(n_terms) if x in implicit_eqv or raw.strictunits
-    }
-    for e in range(n_edges):
-        if edge_src[e] in absorbing:
-            star.setdefault((eqv[edge_src[e]], e), e)
-        if edge_dst[e] in absorbing:
-            star.setdefault((e, eqv[edge_dst[e]]), e)
-    report_missing(star, edge_src, edge_dst, edge_names, "star", "*")
-
-    einv_map: dict[int, int] = {}
-    for row in raw.rows["einv"]:
-        try:
-            x, y = edge_id[row[0]], edge_id[row[1]]
-        except KeyError:
-            unknown(edge_id, row, "edge")
-            continue
-        if x in einv_map:
-            error(locate(row[-1], 1), E_CONFLICT, f"einv of {row[0]!r} declared twice")
-            continue
-        einv_map[x] = y
-    for x in absorbing:
-        einv_map.setdefault(eqv[x], eqv[x])
-    for e in range(n_edges):
-        if e not in einv_map:
-            error(span, E_MISSING, f"missing einv entry for {edge_names[e]!r} in typoid {raw.name!r}")
-            einv_map[e] = e
-
+    n_edges = len(edges.names)
     partition = CellPartition(range(n_edges))
     for row in raw.rows["cell"]:
         try:
-            x, y = edge_id[row[0]], edge_id[row[1]]
+            x, y = edges.ids[row[0]], edges.ids[row[1]]
         except KeyError:
-            unknown(edge_id, row, "edge")
+            unknown(edges.ids, row, "edge")
             continue
-        if (edge_src[x], edge_dst[x]) != (edge_src[y], edge_dst[y]):
+        if (edges.src[x], edges.dst[x]) != (edges.src[y], edges.dst[y]):
             error(locate(row[-1], 2), E_ENDPOINTS, f"edges {row[0]!r} and {row[1]!r} are not parallel")
             continue
         partition.union(x, y)
     labels = partition.labels()
     cell = tuple(labels[e] for e in range(n_edges))
 
-    idtoeqv_map: dict[int, int] = {}
-    for row in raw.rows["idtoeqv"]:
-        try:
-            x, y = path_id[row[0]], edge_id[row[1]]
-        except KeyError:
-            unknown(path_id, row, "path", 0, 1)
-            unknown(edge_id, row, "edge", 1)
-            continue
-        if x in idtoeqv_map:
-            error(locate(row[-1], 1), E_CONFLICT, f"idtoeqv of {row[0]!r} declared twice")
-            continue
-        idtoeqv_map[x] = y
-    for x in range(n_terms):
-        idtoeqv_map.setdefault(refl[x], eqv[x])
-    for p in range(n_paths):
-        if p not in idtoeqv_map:
-            error(span, E_MISSING, f"missing idtoeqv entry for {path_names[p]!r} in typoid {raw.name!r}")
-            idtoeqv_map[p] = 0
+    idtoeqv = assign("idtoeqv", paths, edges, all_terms)
 
     if len(diagnostics) > errors_before:
         return None
 
+    units = tuple(all_terms)
     typ = Typoid(
         name=raw.name,
-        base=FiniteGroupoid(
-            term_count=n_terms,
-            path_src=tuple(path_src),
-            path_dst=tuple(path_dst),
-            refl=refl,
-            comp=comp,
-            inv=tuple(inv_map[p] for p in range(n_paths)),
-        ),
-        layer=EquivalenceLayer(
-            term_count=n_terms,
-            edge_src=tuple(edge_src),
-            edge_dst=tuple(edge_dst),
-            eqv=eqv,
-            star=star,
-            einv=tuple(einv_map[e] for e in range(n_edges)),
-            cell=cell,
-        ),
-        idtoeqv=tuple(idtoeqv_map[p] for p in range(n_paths)),
+        base=FiniteGroupoid(n_terms, tuple(paths.src), tuple(paths.dst), units, comp, pinv),
+        layer=EquivalenceLayer(n_terms, tuple(edges.src), tuple(edges.dst), units, star, einv, cell),
+        idtoeqv=idtoeqv,
     )
     return TypoidEntry(
         typoid=typ,
         term_names=tuple(term_names),
-        path_names=tuple(path_names),
-        edge_names=tuple(edge_names),
+        path_names=tuple(paths.names),
+        edge_names=tuple(edges.names),
         span=span,
     )
 
@@ -823,16 +759,9 @@ def _assemble_morphism(
     src, dst = src_entry.typoid, dst_entry.typoid
     span = locate(raw.at, 1)
 
-    def index(names: tuple[str, ...]) -> dict[str, int]:
-        return {n: i for i, n in enumerate(names)}
-
-    src_terms, dst_terms = index(src_entry.term_names), index(dst_entry.term_names)
-    src_paths, dst_paths = index(src_entry.path_names), index(dst_entry.path_names)
-    src_edges, dst_edges = index(src_entry.edge_names), index(dst_entry.edge_names)
-
-    def rows_to_map(
-        rows, src_index, dst_index, what: str
-    ) -> dict[int, int]:
+    def rows_to_map(rows, src_names, dst_names, what: str) -> dict[int, int]:
+        src_index = {n: i for i, n in enumerate(src_names)}
+        dst_index = {n: i for i, n in enumerate(dst_names)}
         out: dict[int, int] = {}
         for xn, yn, at in rows:
             x = src_index.get(xn)
@@ -849,37 +778,32 @@ def _assemble_morphism(
             out[x] = y
         return out
 
-    term_map = rows_to_map(raw.rows["term"], src_terms, dst_terms, "term")
-    for x in range(src.term_count):
-        if x not in term_map:
-            error(
-                span, E_MISSING,
-                f"missing term row for {src_entry.term_names[x]!r} in morphism {raw.name!r}",
-            )
+    def missing(what: str, table: dict[int, int], names: tuple[str, ...]) -> None:
+        for i, name in enumerate(names):
+            if i not in table:
+                error(span, E_MISSING, f"missing {what} row for {name!r} in morphism {raw.name!r}")
+
+    term_map = rows_to_map(raw.rows["term"], src_entry.term_names, dst_entry.term_names, "term")
+    missing("term", term_map, src_entry.term_names)
     if len(diagnostics) > errors_before:
         return None
 
-    path_map = rows_to_map(raw.rows["path"], src_paths, dst_paths, "path")
-    for x in range(src.term_count):
-        path_map.setdefault(src.base.refl[x], dst.base.refl[term_map[x]])
-    for p in range(src.base.path_count):
-        if p not in path_map:
-            error(
-                span, E_MISSING,
-                f"missing path row for {src_entry.path_names[p]!r} in morphism {raw.name!r}",
-            )
-    edge_map = rows_to_map(raw.rows["edge"], src_edges, dst_edges, "edge")
-    for x in range(src.term_count):
-        edge_map.setdefault(src.layer.eqv[x], dst.layer.eqv[term_map[x]])
-    for e in range(src.layer.edge_count):
-        if e not in edge_map:
-            error(
-                span, E_MISSING,
-                f"missing edge row for {src_entry.edge_names[e]!r} in morphism {raw.name!r}",
-            )
+    # paths and edges: the rows of refl paths and eqv edges default to
+    # the units of the image terms
+    maps = []
+    for what, src_names, dst_names, src_units, dst_units in (
+        ("path", src_entry.path_names, dst_entry.path_names, src.base.refl, dst.base.refl),
+        ("edge", src_entry.edge_names, dst_entry.edge_names, src.layer.eqv, dst.layer.eqv),
+    ):
+        table = rows_to_map(raw.rows[what], src_names, dst_names, what)
+        for x in range(src.term_count):
+            table.setdefault(src_units[x], dst_units[term_map[x]])
+        missing(what, table, src_names)
+        maps.append(table)
     if len(diagnostics) > errors_before:
         return None
 
+    path_map, edge_map = maps
     morphism = TypoidMorphism(
         name=raw.name,
         source=src,
@@ -969,45 +893,39 @@ def _serialize_typoid(entry: TypoidEntry) -> str:
     if tuple(base.refl) != tuple(range(n)) or tuple(layer.eqv) != tuple(range(n)):
         raise ValueError(f"typoid {t.name!r} is not in canonical id layout; use document_for")
     tn, pn, en = entry.term_names, entry.path_names, entry.edge_names
-    is_refl = lambda p: p < n
-    is_eqv = lambda e: e < n
     lines = [f"typoid {t.name} {{"]
     lines.append(f"  terms {' '.join(tn)} ;" if n else "  terms ;")
-    for p in range(n, base.path_count):
-        lines.append(f"  path {pn[p]} : {tn[base.path_src[p]]} -> {tn[base.path_dst[p]]} ;")
-    for (p, q) in sorted(base.comp):
-        r = base.comp[(p, q)]
-        if is_refl(p) and r == q:
-            continue
-        if is_refl(q) and r == p:
-            continue
-        lines.append(f"  comp {pn[p]} . {pn[q]} = {pn[r]} ;")
-    for p in range(base.path_count):
-        if is_refl(p) and base.inv[p] == p:
-            continue
-        lines.append(f"  pinv {pn[p]} = {pn[base.inv[p]]} ;")
-    for e in range(n, layer.edge_count):
-        lines.append(f"  edge {en[e]} : {tn[layer.edge_src[e]]} ~ {tn[layer.edge_dst[e]]} ;")
-    for (e, d) in sorted(layer.star):
-        r = layer.star[(e, d)]
-        if is_eqv(e) and r == d:
-            continue
-        if is_eqv(d) and r == e:
-            continue
-        lines.append(f"  star {en[e]} * {en[d]} = {en[r]} ;")
-    for e in range(layer.edge_count):
-        if is_eqv(e) and layer.einv[e] == e:
-            continue
-        lines.append(f"  einv {en[e]} = {en[layer.einv[e]]} ;")
+    _write_level(lines, _PATH_SYNTAX, _paths(base), pn, tn)
+    _write_level(lines, _EDGE_SYNTAX, _edges(layer), en, tn)
     for e in range(layer.edge_count):
         if layer.cell[e] != e:
             lines.append(f"  cell {en[e]} == {en[layer.cell[e]]} ;")
     for p in range(base.path_count):
-        if is_refl(p) and t.idtoeqv[p] == layer.eqv[base.path_src[p]]:
+        if p < n and t.idtoeqv[p] == layer.eqv[base.path_src[p]]:
             continue
         lines.append(f"  idtoeqv {pn[p]} => {en[t.idtoeqv[p]]} ;")
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def _write_level(lines: list[str], syntax: _Syntax, level: _Level, names, term_names) -> None:
+    """The declarations, composition rows and inverse rows of a level in
+    canonical layout, minus the unit rows the parser fills in."""
+    item, arrow, comp, op, inv = syntax
+    n = level.term_count  # the units are ids 0..n-1
+    src, dst, table = level.src, level.dst, level.table
+    for i in range(n, len(src)):
+        lines.append(f"  {item} {names[i]} : {term_names[src[i]]} {arrow} {term_names[dst[i]]} ;")
+    for (p, q) in sorted(table):
+        r = table[(p, q)]
+        if (p < n and r == q) or (q < n and r == p):
+            continue
+        lines.append(f"  {comp} {names[p]} {op} {names[q]} = {names[r]} ;")
+    for i in range(len(src)):
+        j = level.inv[i]
+        if i < n and j == i:
+            continue
+        lines.append(f"  {inv} {names[i]} = {names[j]} ;")
 
 
 def _serialize_morphism(entry: MorphismEntry, doc: Document) -> str:
@@ -1018,20 +936,15 @@ def _serialize_morphism(entry: MorphismEntry, doc: Document) -> str:
     src, dst = m.source, m.target
     lines = [f"morphism {m.name} : {entry.source_name} -> {entry.target_name} {{"]
     for x in range(src.term_count):
-        lines.append(
-            f"  term {src_entry.term_names[x]} |-> {dst_entry.term_names[m.term_map[x]]} ;"
-        )
-    for p in range(src.base.path_count):
-        if p < src.term_count and m.path_map[p] == dst.base.refl[m.term_map[p]]:
-            continue
-        lines.append(
-            f"  path {src_entry.path_names[p]} |-> {dst_entry.path_names[m.path_map[p]]} ;"
-        )
-    for e in range(src.layer.edge_count):
-        if e < src.term_count and m.edge_map[e] == dst.layer.eqv[m.term_map[e]]:
-            continue
-        lines.append(
-            f"  edge {src_entry.edge_names[e]} |-> {dst_entry.edge_names[m.edge_map[e]]} ;"
-        )
+        lines.append(f"  term {src_entry.term_names[x]} |-> {dst_entry.term_names[m.term_map[x]]} ;")
+    # the rows of refl paths and eqv edges that send units to units are implicit
+    for what, count, table, src_names, dst_names, dst_units in (
+        ("path", src.base.path_count, m.path_map, src_entry.path_names, dst_entry.path_names, dst.base.refl),
+        ("edge", src.layer.edge_count, m.edge_map, src_entry.edge_names, dst_entry.edge_names, dst.layer.eqv),
+    ):
+        for i in range(count):
+            if i < src.term_count and table[i] == dst_units[m.term_map[i]]:
+                continue
+            lines.append(f"  {what} {src_names[i]} |-> {dst_names[table[i]]} ;")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -363,8 +363,13 @@ class _Level(NamedTuple):
     cell: Sequence[int]
 
 
+def _paths(g: FiniteGroupoid) -> _Level:
+    """A groupoid's paths as a level: each path is a cell of its own."""
+    return _Level(_PATH_WORDS, g.term_count, g.path_src, g.path_dst, g.refl, g.comp, g.inv, range(g.path_count))
+
+
 def _edges(layer: EquivalenceLayer) -> _Level:
-    """A layer's edges as the law checker reads them."""
+    """A layer's edges as a level."""
     return _Level(
         _EDGE_WORDS, layer.term_count, layer.edge_src, layer.edge_dst, layer.eqv, layer.star, layer.einv, layer.cell
     )
@@ -453,7 +458,7 @@ def validate_groupoid(g: FiniteGroupoid, budget: Budget | None = None) -> Valida
     counts: dict[str, int] = {}
     if g.term_count < 0:
         violations.append(Violation("Bookkeeping", (), "negative term count"))
-    paths = _Level(_PATH_WORDS, g.term_count, g.path_src, g.path_dst, g.refl, g.comp, g.inv, range(g.path_count))
+    paths = _paths(g)
     if not _malformed(paths, violations):
         _level_laws(paths, violations, counts, budget)
     return ValidationReport.collect(violations, counts)

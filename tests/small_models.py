@@ -17,6 +17,7 @@ from typoid.constructions import (
     ExponentialEdge,
     ExponentialLimits,
     ExponentialProvenance,
+    ProductProvenance,
     _renumber,
 )
 from typoid.model import (
@@ -599,3 +600,74 @@ def naive_exponential(
     for old, fam in enumerate(families):
         final_edges[emap[old]] = fam
     return out, ExponentialProvenance(source=a, target=b, terms=tuple(terms), edges=tuple(final_edges))
+
+
+def naive_product(a: Typoid, b: Typoid, name: str | None = None) -> tuple[Typoid, ProductProvenance]:
+    """The product with every path table and its edge twin written out by
+    hand.  Both arguments must be valid."""
+    name = name or f"{a.name}_x_{b.name}"
+    tb = b.term_count
+    pb = b.base.path_count
+    eb = b.layer.edge_count
+
+    def term(x: int, y: int) -> int:
+        return x * tb + y
+
+    def pid(p1: int, p2: int) -> int:
+        return p1 * pb + p2
+
+    def eid(e1: int, e2: int) -> int:
+        return e1 * eb + e2
+
+    pa, ea = a.base.path_count, a.layer.edge_count
+    base = FiniteGroupoid(
+        term_count=a.term_count * tb,
+        path_src=tuple(
+            term(a.base.path_src[p1], b.base.path_src[p2]) for p1 in range(pa) for p2 in range(pb)
+        ),
+        path_dst=tuple(
+            term(a.base.path_dst[p1], b.base.path_dst[p2]) for p1 in range(pa) for p2 in range(pb)
+        ),
+        refl=tuple(pid(a.base.refl[x], b.base.refl[y]) for x in range(a.term_count) for y in range(tb)),
+        comp={
+            (pid(p1, p2), pid(q1, q2)): pid(r1, r2)
+            for (p1, q1), r1 in a.base.comp.items()
+            for (p2, q2), r2 in b.base.comp.items()
+        },
+        inv=tuple(pid(a.base.inv[p1], b.base.inv[p2]) for p1 in range(pa) for p2 in range(pb)),
+    )
+    layer = EquivalenceLayer(
+        term_count=base.term_count,
+        edge_src=tuple(
+            term(a.layer.edge_src[e1], b.layer.edge_src[e2]) for e1 in range(ea) for e2 in range(eb)
+        ),
+        edge_dst=tuple(
+            term(a.layer.edge_dst[e1], b.layer.edge_dst[e2]) for e1 in range(ea) for e2 in range(eb)
+        ),
+        eqv=tuple(eid(a.layer.eqv[x], b.layer.eqv[y]) for x in range(a.term_count) for y in range(tb)),
+        star={
+            (eid(e1, e2), eid(d1, d2)): eid(r1, r2)
+            for (e1, d1), r1 in a.layer.star.items()
+            for (e2, d2), r2 in b.layer.star.items()
+        },
+        einv=tuple(eid(a.layer.einv[e1], b.layer.einv[e2]) for e1 in range(ea) for e2 in range(eb)),
+        cell=tuple(eid(a.layer.cell[e1], b.layer.cell[e2]) for e1 in range(ea) for e2 in range(eb)),
+    )
+    idtoeqv = tuple(eid(a.idtoeqv[p1], b.idtoeqv[p2]) for p1 in range(pa) for p2 in range(pb))
+    out, pmap, emap = _renumber(Typoid(name=name, base=base, layer=layer, idtoeqv=idtoeqv))
+
+    pair_edge = {(e1, e2): emap[eid(e1, e2)] for e1 in range(ea) for e2 in range(eb)}
+    split_edge: list[tuple[int, int]] = [(0, 0)] * (ea * eb)
+    for (e1, e2), e in pair_edge.items():
+        split_edge[e] = (e1, e2)
+    pair_path = {(p1, p2): pmap[pid(p1, p2)] for p1 in range(pa) for p2 in range(pb)}
+    split_path: list[tuple[int, int]] = [(0, 0)] * (pa * pb)
+    for (p1, p2), p in pair_path.items():
+        split_path[p] = (p1, p2)
+    return out, ProductProvenance(
+        factors=(a, b),
+        pair_edge=pair_edge,
+        split_edge=tuple(split_edge),
+        pair_path=pair_path,
+        split_path=tuple(split_path),
+    )

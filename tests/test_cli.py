@@ -3,13 +3,20 @@
 from __future__ import annotations
 
 import json
+import re
 import time
+from functools import lru_cache
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import typoid as T
 from typoid import cli
-from typoid.dsl import _MISSING_SHOWN, parse
+from typoid.dsl import _MISSING_SHOWN, document_for, parse, serialize
+from typoid.model import Budget, validate_typoid
+from typoid.morphisms import identity_morphism, validate_morphism
+
+from corpus import full_stock, stock_products
 
 UNIT = "typoid U {\n  terms x ;\n}\n"
 TWOEDGE = "typoid T {\n  terms x ;\n  edge e : x ~ x ;\n  star e * e = eqv_x ;\n  einv e = e ;\n}\n"
@@ -313,6 +320,50 @@ def test_unwritable_output_is_an_input_error(tmp_path, capsys):
         assert report["violations"][0]["message"].startswith(f"cannot write {out}: ")
 
 
+def test_unwritable_sidecar_leaves_no_file_behind(tmp_path, capsys):
+    out = tmp_path / "o.typoid"
+    (tmp_path / "o.typoid.prov.json").mkdir()
+    code, report = run(capsys, "gen", "equality", "2", "-o", str(out))
+    assert code == 2
+    assert report["violations"][0]["message"].startswith(f"cannot write {out}.prov.json: ")
+    assert [p.name for p in tmp_path.iterdir()] == ["o.typoid.prov.json"]
+
+
+def test_negative_exp_bounds_are_input_errors(tmp_path, capsys):
+    f = tmp_path / "ab.typoid"
+    f.write_text(AB)
+    out = tmp_path / "e.typoid"
+    for flag, bound in (("--max-terms", "max_terms"), ("--max-edges", "max_edges")):
+        code, report = run(capsys, "exp", str(f), "A", "B", "-o", str(out), flag, "-1")
+        assert code == 2, flag
+        assert report["result"] == "input-error"
+        assert report["violations"] == [{"code": "E000", "message": f"{bound} must be non-negative, got -1"}]
+    assert not out.exists()
+
+
+def test_validate_spends_one_budget_across_the_file(tmp_path, capsys, monkeypatch):
+    u = T.universe_typoid([3, 3], name="u")
+    monkeypatch.setenv("TYPOID_MAX_CHECKS", "10000")
+    one, two = tmp_path / "one.typoid", tmp_path / "two.typoid"
+    one.write_text(serialize(document_for([u])))
+    two.write_text(serialize(document_for([u, T.universe_typoid([3, 3], name="v")])))
+    assert run(capsys, "validate", str(one))[0] == 0
+    code, report = run(capsys, "validate", str(two))
+    assert code == 3
+    assert report["violations"][0]["bound"] == "TYPOID_MAX_CHECKS"
+
+    # morphisms spend on the same budget
+    budget = Budget(10**9)
+    validate_typoid(u, budget)
+    validate_morphism(identity_morphism(u), budget)
+    with_morphism = tmp_path / "m.typoid"
+    with_morphism.write_text(serialize(document_for([u], [identity_morphism(u)])))
+    monkeypatch.setenv("TYPOID_MAX_CHECKS", str(budget.spent))
+    assert run(capsys, "validate", str(with_morphism))[0] == 0
+    monkeypatch.setenv("TYPOID_MAX_CHECKS", str(budget.spent - 1))
+    assert run(capsys, "validate", str(with_morphism))[0] == 3
+
+
 def test_induce_rejects_unknown_source_names(tmp_path, capsys):
     f = tmp_path / "ab.typoid"
     f.write_text(AB)
@@ -422,6 +473,81 @@ def test_random_command_lines_end_in_one_report(tmp_path, capsys, monkeypatch, d
     files = st.sampled_from((str(fixture),) * 4 + (str(tmp_path / "missing.typoid"),))
     outs = st.sampled_from((str(tmp_path / "out.typoid"), str(tmp_path), str(tmp_path / "no" / "o.typoid")))
     argv = data.draw(_command_lines(files, outs))
+    code = cli.main(argv)
+    lines = capsys.readouterr().out.splitlines()
+    assert code in (0, 1, 2, 3)
+    assert len(lines) == 1
+    assert cli._EXIT_CODES[json.loads(lines[0])["result"]] == code
+
+
+@lru_cache(maxsize=1)
+def _stock_documents() -> tuple[str, ...]:
+    """Every stock typoid alone, and some products with their factors and
+    projections."""
+    docs = [serialize(document_for([t])) for t in full_stock().values()]
+    for prod, prov in list(stock_products().values())[::5]:
+        a, b = prov.factors
+        if not (a.same_structure(b) or prod.same_structure(a) or prod.same_structure(b)):
+            docs.append(serialize(document_for([prod, a, b], T.projections(prod, prov))))
+    return tuple(docs)
+
+
+_DOCUMENT_COMMANDS = {  # the typoid operands and flags of each command
+    "validate": (0, ()),
+    "univalence": (0, ()),
+    "truncate": (1, ("-o", "out.typoid")),
+    "complete": (1, ("-o", "out.typoid")),
+    "product": (2, ("-o", "out.typoid")),
+    "exp": (2, ("-o", "out.typoid", "--max-terms", "4", "--max-edges", "16")),
+}
+
+
+@st.composite
+def _document_requests(draw):
+    """A stock document with one to three line deletions, duplications,
+    swaps, replaced names or inserted `strictunits ;`, and a command on it
+    that names its typoids (or one it lacks)."""
+    text = draw(st.sampled_from(_stock_documents()))
+    typoids = re.findall(r"^typoid (\w+)", text, re.M)
+    names = sorted(set(re.findall(r"\w+", text))) + ["zz"]
+    lines = text.splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        op = draw(st.sampled_from(("delete", "duplicate", "swap", "rename", "strictunits")))
+        i, j = (draw(st.integers(0, max(len(lines) - 1, 0))) for _ in range(2))
+        if not lines or op == "strictunits":
+            lines.insert(i, "  strictunits ;")
+        elif op == "delete":
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(i, lines[j])
+        elif op == "swap":
+            lines[i], lines[j] = lines[j], lines[i]
+        else:  # a name after the keyword, or any word of a line without one
+            words = lines[i].split(" ")
+            named = [k for k, w in enumerate(words) if re.fullmatch(r"\w+", w)][1:]
+            k = draw(st.sampled_from(named or range(len(words))))
+            words[k] = draw(st.sampled_from(names))
+            lines[i] = " ".join(words)
+    command = draw(st.sampled_from(sorted(_DOCUMENT_COMMANDS)))
+    arity, flags = _DOCUMENT_COMMANDS[command]
+    operands = st.sampled_from(typoids * 3 + ["zz"])
+    argv = [command, "doc.typoid", *(draw(operands) for _ in range(arity)), *flags]
+    if command == "univalence" and draw(st.booleans()):
+        argv += ["--typoid", draw(operands)]
+    return "\n".join(lines) + "\n", argv
+
+
+@settings(
+    max_examples=200,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(request=_document_requests())
+def test_mutated_documents_end_in_one_report(tmp_path, capsys, monkeypatch, request):
+    monkeypatch.chdir(tmp_path)
+    text, argv = request
+    (tmp_path / "doc.typoid").write_text(text)
     code = cli.main(argv)
     lines = capsys.readouterr().out.splitlines()
     assert code in (0, 1, 2, 3)

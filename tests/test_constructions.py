@@ -13,7 +13,7 @@ from typoid.model import FiniteGroupoid
 from typoid.univalence import NotUnivalent, UnivalenceCertificate
 
 from corpus import stock_base, stock_products, stock_truncations
-from small_models import family, naive_completion_base, naive_exponential
+from small_models import family, naive_completion_base, naive_exponential, naive_product
 from test_morphisms import rich_unit_cell_typoid
 
 
@@ -118,6 +118,24 @@ def test_pair_edges_congruent_componentwise():
                             prov.pair_edge[(e1, e2)],
                             prov.pair_edge[(d1, d2)],
                         )
+
+
+def test_product_matches_the_table_by_table_reference_on_stock_pairs():
+    # every ordered pair of base stock and truncations, and each stock
+    # product on either side of each base stock typoid
+    small = [*stock_base().values(), *stock_truncations().values()]
+    pairs = [(a, b) for a in small for b in small]
+    for prod, _ in stock_products().values():
+        pairs += [pair for b in stock_base().values() for pair in ((prod, b), (b, prod))]
+    for a, b in pairs:
+        assert repr(T.product_typoid(a, b)) == repr(naive_product(a, b)), (a.name, b.name)
+
+
+def test_product_matches_the_table_by_table_reference_on_family_members():
+    # most family layers are not in canonical layout, so renumbering moves ids
+    members = family()
+    for a, b in zip(members[::3], members[1::3]):
+        assert repr(T.product_typoid(a, b)) == repr(naive_product(a, b)), (a.name, b.name)
 
 
 def test_projections_reject_foreign_provenance():

@@ -456,6 +456,57 @@ def test_statement_pass_reads_well_formed_documents_like_the_token_parser():
         _same_as_token_parser(text)
 
 
+def test_assembly_diagnostics_are_worded_as_pinned():
+    # paths and edges share the row readers, so each level's wording is
+    # pinned here, in the order of the spans pinned above
+    assert [d.message for d in parse(WELL_FORMED_ERRORS_SOURCE).diagnostics] == [
+        "missing comp entry for 'p' . 'q' in typoid 'A'",
+        "missing comp entry for 'q' . 'p' in typoid 'A'",
+        "missing pinv entry for 'q' in typoid 'A'",
+        "missing star entry for 'u' * 'e' in typoid 'A'",
+        "missing star entry for 'eqv_v' * 'eqv_v' in typoid 'A'",
+        "missing star entry for 'e' * 'f' in typoid 'A'",
+        "missing star entry for 'f' * 'u' in typoid 'A'",
+        "missing star entry for 'f' * 'e' in typoid 'A'",
+        "missing einv entry for 'u' in typoid 'A'",
+        "missing einv entry for 'eqv_v' in typoid 'A'",
+        "missing einv entry for 'f' in typoid 'A'",
+        "missing idtoeqv entry for 'q' in typoid 'A'",
+        "duplicate term 'x'",
+        "unknown term 'w'",
+        "duplicate path 'q'",
+        "unknown path 'r'",
+        "paths 'p' and 'p' do not compose: 'p' ends at 'y' but 'p' starts at 'x'",
+        "comp of 'refl_x' and 'p' declared twice",
+        "pinv of 'p' declared twice",
+        "unknown path 'nope'",
+        "duplicate edge 'e'",
+        'edge name eqv_y collides with the implicit designated edge',
+        "eqv of term 'x' designated twice",
+        "unknown term 'w'",
+        "designated eqv edge 'e' is not an edge z ~ z",
+        "unknown edge 'g'",
+        "edges 'e' and 'e' do not compose",
+        "star of 'u' and 'u' declared twice",
+        "unknown edge 'g'",
+        "einv of 'e' declared twice",
+        "unknown edge 'g'",
+        "edges 'e' and 'f' are not parallel",
+        "unknown edge 'g'",
+        "idtoeqv of 'p' declared twice",
+        "unknown edge 'g'",
+        "unknown path 'r'",
+        "duplicate declaration name 'A'",
+        "unresolved typoid 'D'",
+        "term 'b' mapped twice",
+        "unknown term 'a' in 'B'",
+        "unknown term 'a' in 'C'",
+        "unknown path 'refl_a' in 'B'",
+        "unknown edge 'e' in 'C'",
+        "missing path row for 'p' in morphism 'k'",
+    ]
+
+
 _PIECES = (
     *" \t\r\n#;{}:.=*~|->_a1", "\f",
     "terms", "path", "comp", "pinv", "edge", "eqv", "star", "einv", "cell", "idtoeqv",
