@@ -50,21 +50,24 @@ def _units_first(level: _Level) -> tuple[_Level, dict[int, int]]:
     units = set(level.unit)
     order = list(dict.fromkeys(level.unit)) + [i for i in range(n) if i not in units]
     new = {old: i for i, old in enumerate(order)}
-    members: dict[int, list[int]] = {}
-    for old in range(n):
-        members.setdefault(level.cell[old], []).append(new[old])
-    cell = [0] * n
-    for ids in members.values():
-        least = min(ids)
-        for i in ids:
-            cell[i] = least
+    cell = range(n)  # singleton cells, as `_paths` gives them, stay singletons
+    if not isinstance(level.cell, range):
+        members: dict[int, list[int]] = {}
+        for old in range(n):
+            members.setdefault(level.cell[old], []).append(new[old])
+        labels = [0] * n
+        for ids in members.values():
+            least = min(ids)
+            for i in ids:
+                labels[i] = least
+        cell = tuple(labels)
     permuted = level._replace(
         src=tuple(level.src[i] for i in order),
         dst=tuple(level.dst[i] for i in order),
         unit=tuple(new[level.unit[x]] for x in range(level.term_count)),
         table={(new[p], new[q]): new[r] for (p, q), r in level.table.items()},
         inv=tuple(new[level.inv[i]] for i in order),
-        cell=tuple(cell),
+        cell=cell,
     )
     return permuted, new
 
@@ -232,8 +235,9 @@ def _pair(l1: _Level, l2: _Level) -> _Level:
             for (p2, q2), r2 in l2.table.items()
         },
         inv=_pairs(l1.inv, l2.inv, n2),
-        # the least pair in a product class is the pair of least members
-        cell=_pairs(l1.cell, l2.cell, n2),
+        # the least pair in a product class is the pair of least members;
+        # pairs of singleton cells are singletons
+        cell=range(len(l1.src) * n2) if isinstance(l1.cell, range) else _pairs(l1.cell, l2.cell, n2),
     )
 
 

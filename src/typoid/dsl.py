@@ -47,7 +47,19 @@ from itertools import islice
 from typing import NamedTuple
 
 from .constructions import _renumber
-from .model import CellPartition, EquivalenceLayer, FiniteGroupoid, Typoid, _edges, _Level, _out_index, _paths
+from .model import (
+    _EDGE_WORDS,
+    _PATH_WORDS,
+    CellPartition,
+    EquivalenceLayer,
+    FiniteGroupoid,
+    Typoid,
+    _Level,
+    _Words,
+    _edges,
+    _out_index,
+    _paths,
+)
 from .morphisms import TypoidMorphism
 
 # E-code table
@@ -505,24 +517,26 @@ def _assemble(
 
 
 class _Syntax(NamedTuple):
-    """How a level reads and writes: its declaration keyword and arrow, its
-    composition keyword and operator, and its inverse keyword."""
+    """What the text format adds to a level's words: the arrow of its
+    declarations, the operator of its composition rows, its inverse
+    keyword, and the clause an E104 gets for a pair that does not compose
+    (formatted with both names and the terms where they part)."""
 
-    item: str
     arrow: str
-    comp: str
     op: str
     inv: str
+    apart: str
 
 
-_PATH_SYNTAX = _Syntax("path", "->", "comp", ".", "pinv")
-_EDGE_SYNTAX = _Syntax("edge", "~", "star", "*", "einv")
+_PATH_SYNTAX = _Syntax("->", ".", "pinv", ": {0!r} ends at {1!r} but {2!r} starts at {3!r}")
+_EDGE_SYNTAX = _Syntax("~", "*", "einv", "")
 
 
 class _Ids(NamedTuple):
     """A level under assembly: the id, name and endpoints of each path or
     edge declared so far.  The unit of term x is id x."""
 
+    words: _Words
     syntax: _Syntax
     ids: dict[str, int]
     names: list[str]
@@ -584,7 +598,8 @@ def _assemble_typoid(
     def compose(level: _Ids, absorbing) -> dict[tuple[int, int], int]:
         """A level's composition rows (E103, E104, E106), then the rows in
         which the unit of an `absorbing` term absorbs; E105 for the rest."""
-        item, _, keyword, op, _ = level.syntax
+        item, keyword = level.words.item, level.words.comp
+        op, apart = level.syntax.op, level.syntax.apart
         ids, src, dst = level.ids, level.src, level.dst
         table: dict[tuple[int, int], int] = {}
         for row in raw.rows[keyword]:
@@ -595,10 +610,8 @@ def _assemble_typoid(
                 unknown(ids, row, item)
                 continue
             if dst[x] != src[y]:
-                apart = ""  # paths also say where they part
-                if item == "path":
-                    apart = f": {xn!r} ends at {term_names[dst[x]]!r} but {yn!r} starts at {term_names[src[y]]!r}"
-                error(locate(at, 2), E_ENDPOINTS, f"{item}s {xn!r} and {yn!r} do not compose{apart}")
+                where = apart.format(xn, term_names[dst[x]], yn, term_names[src[y]])
+                error(locate(at, 2), E_ENDPOINTS, f"{item}s {xn!r} and {yn!r} do not compose{where}")
                 continue
             if (x, y) in table:
                 error(locate(at, 1), E_CONFLICT, f"{keyword} of {xn!r} and {yn!r} declared twice")
@@ -636,8 +649,8 @@ def _assemble_typoid(
             try:
                 x, y = level.ids[row[0]], target.ids[row[1]]
             except KeyError:
-                unknown(level.ids, row, level.syntax.item, 0, 1)
-                unknown(target.ids, row, target.syntax.item, 1)
+                unknown(level.ids, row, level.words.item, 0, 1)
+                unknown(target.ids, row, target.words.item, 1)
                 continue
             if x in table:
                 error(locate(row[-1], 1), E_CONFLICT, f"{keyword} of {row[0]!r} declared twice")
@@ -651,7 +664,7 @@ def _assemble_typoid(
         return tuple(table.get(i, i) for i in range(len(level.names)))
 
     # paths: refl first, then declarations
-    paths = _Ids(_PATH_SYNTAX, {}, [], [], [])
+    paths = _Ids(_PATH_WORDS, _PATH_SYNTAX, {}, [], [], [])
     for x, name in enumerate(term_names):
         paths.add(f"refl_{name}", x, x)
     for name, (src, dst, _) in declared("path", paths.ids).items():
@@ -673,7 +686,7 @@ def _assemble_typoid(
         override_edge[a] = row[1:]
     declared_edges = declared("edge", ())
 
-    edges = _Ids(_EDGE_SYNTAX, {}, [], [], [])
+    edges = _Ids(_EDGE_WORDS, _EDGE_SYNTAX, {}, [], [], [])
     implicit_eqv: set[int] = set()
     for x, name in enumerate(term_names):
         if x in override_edge:
@@ -911,7 +924,8 @@ def _serialize_typoid(entry: TypoidEntry) -> str:
 def _write_level(lines: list[str], syntax: _Syntax, level: _Level, names, term_names) -> None:
     """The declarations, composition rows and inverse rows of a level in
     canonical layout, minus the unit rows the parser fills in."""
-    item, arrow, comp, op, inv = syntax
+    item, comp = level.words.item, level.words.comp
+    arrow, op, inv, _ = syntax
     n = level.term_count  # the units are ids 0..n-1
     src, dst, table = level.src, level.dst, level.table
     for i in range(n, len(src)):

@@ -1,13 +1,14 @@
 """Compare the command line of two source trees on the benchmark's requests.
 
-    python3 tools/cli_diff.py OLD_SRC NEW_SRC --seed N [--workload W] [--known-defects]
+    python3 tools/cli_diff.py OLD_SRC NEW_SRC --seed N [--known-defects]
 
 Builds each workload's requests once with `perfbench/workloads.build`, using
 the library under OLD_SRC, and sends them through each tree's
 `typoid.cli.main` in a subprocess of its own.  Compares stdout, exit codes
-and the bytes of every written `.typoid` and `.prov.json` file.  Prints the
-first difference and exits 1, or prints the number of identical requests
-per workload and exits 0.  `--known-defects` adds the requests that the
+and the bytes of every written `.typoid` and `.prov.json` file, for all
+three workloads, in a temporary directory.  Prints the first difference
+and exits 1, or prints the number of identical requests per workload and
+exits 0.  `--known-defects` adds the requests that the
 benchmark keeps out of `many-small` because they are answered wrongly.
 The inputs are built at the default `TYPOID_MAX_CHECKS`; the runs get the
 caller's.
@@ -116,10 +117,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("old_src", type=Path, help="the src/ directory of the reference tree")
     parser.add_argument("new_src", type=Path, help="the src/ directory of the tree under test")
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--workload", choices=WORKLOADS, action="append", help="default: all three")
+    parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--known-defects", action="store_true")
-    parser.add_argument("--work", type=Path, default=None, help="keep inputs and outputs here")
     args = parser.parse_args(argv)
     srcs = {"old": args.old_src.resolve(), "new": args.new_src.resolve()}
     for src in srcs.values():
@@ -127,9 +126,9 @@ def main(argv=None) -> int:
             parser.error(f"no typoid sources under {src}")
     env = dict(os.environ)
     os.environ.pop("TYPOID_MAX_CHECKS", None)
-    work = args.work.resolve() if args.work else Path(tempfile.mkdtemp(prefix="cli_diff-"))
+    work = Path(tempfile.mkdtemp(prefix="cli_diff-"))
     try:
-        for workload in args.workload or WORKLOADS:
+        for workload in WORKLOADS:
             base = work / f"{workload}-s{args.seed}"
             argvs = build_requests(srcs["old"], workload, args.seed, args.known_defects, base / "inputs")
             requests_path = base / "requests.json"
@@ -141,8 +140,7 @@ def main(argv=None) -> int:
                 return 1
             print(f"{workload} seed {args.seed}: {len(argvs)} requests identical")
     finally:
-        if args.work is None:
-            shutil.rmtree(work, ignore_errors=True)
+        shutil.rmtree(work, ignore_errors=True)
     return 0
 
 
