@@ -5,7 +5,9 @@ out of the cell classes.
 
 Every public construction returns structures in canonical id layout:
 refl paths and designated eqv edges occupy ids 0..term_count-1 in term
-order.  The serializer relies on this.
+order.  The serializer relies on this.  `truncate` keeps its input's base,
+so it does when that base is canonical, as every parsed or constructed
+base is.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .model import (
+    _EDGE_WORDS,
+    _PATH_WORDS,
     EquivalenceLayer,
     FiniteGroupoid,
     ResourceLimitError,
@@ -40,6 +44,36 @@ def _groupoid(paths: _Level) -> FiniteGroupoid:
 
 def _layer(edges: _Level) -> EquivalenceLayer:
     return EquivalenceLayer(*edges[1:7], tuple(edges.cell))
+
+
+def _presented(keys, ends, compose, inverse, unit, term_count: int, cell=None) -> _Level:
+    """The level whose ids number `keys` in order.  `ends(k)` gives the
+    terms key k joins; `compose(k1, k2)`, `inverse(k)`, `unit(x)` and
+    `cell(k)`, the least member of k's class, give keys.  Composition rows
+    are filled over composable pairs in id order.  Without `cell` each key
+    is a cell of its own."""
+    try:
+        index = {k: i for i, k in enumerate(keys)}
+        joined = [ends(k) for k in keys]
+        src = tuple(x for x, _ in joined)
+        dst = tuple(y for _, y in joined)
+        leaving = _out_index(src, term_count)
+        table = {}
+        for i, k in enumerate(keys):
+            for j in leaving[dst[i]]:
+                table[(i, j)] = index[compose(k, keys[j])]
+        return _Level(
+            _PATH_WORDS if cell is None else _EDGE_WORDS,
+            term_count,
+            src,
+            dst,
+            tuple(index[unit(x)] for x in range(term_count)),
+            table,
+            tuple(index[inverse(k)] for k in keys),
+            range(len(keys)) if cell is None else tuple(index[cell(k)] for k in keys),
+        )
+    except KeyError:
+        raise AssertionError("presented level is not closed; construction bug") from None
 
 
 def _units_first(level: _Level) -> tuple[_Level, dict[int, int]]:
@@ -99,51 +133,44 @@ def _require_valid_typoid(t: Typoid) -> None:
 
 def discrete_groupoid(n: int) -> FiniteGroupoid:
     """n terms, refl paths only."""
-    return FiniteGroupoid(
+    paths = _presented(
+        range(n),
+        ends=lambda x: (x, x),
+        compose=lambda x, _: x,
+        inverse=lambda x: x,
+        unit=lambda x: x,
         term_count=n,
-        path_src=tuple(range(n)),
-        path_dst=tuple(range(n)),
-        refl=tuple(range(n)),
-        comp={(x, x): x for x in range(n)},
-        inv=tuple(range(n)),
     )
+    return _groupoid(paths)
 
 
 def codiscrete_groupoid(n: int) -> FiniteGroupoid:
-    """n terms with exactly one path in every hom-set."""
-    pid = {}
-    order = [(x, x) for x in range(n)] + [
-        (x, y) for x in range(n) for y in range(n) if x != y
-    ]
-    for i, xy in enumerate(order):
-        pid[xy] = i
-    comp = {}
-    for (x, y) in order:
-        for (y2, z) in order:
-            if y2 == y:
-                comp[(pid[(x, y)], pid[(y, z)])] = pid[(x, z)]
-    return FiniteGroupoid(
+    """n terms with exactly one path in every hom-set, the refl paths first."""
+    pairs = [(x, x) for x in range(n)] + [(x, y) for x in range(n) for y in range(n) if x != y]
+    paths = _presented(
+        pairs,
+        ends=lambda xy: xy,
+        compose=lambda xy, yz: (xy[0], yz[1]),
+        inverse=lambda xy: xy[::-1],
+        unit=lambda x: (x, x),
         term_count=n,
-        path_src=tuple(x for x, _ in order),
-        path_dst=tuple(y for _, y in order),
-        refl=tuple(pid[(x, x)] for x in range(n)),
-        comp=comp,
-        inv=tuple(pid[(y, x)] for x, y in order),
     )
+    return _groupoid(paths)
 
 
 def cyclic_groupoid(n: int) -> FiniteGroupoid:
     """One term whose paths form the cyclic group of order n."""
     if n < 1:
         raise ValueError("cyclic order must be at least 1")
-    return FiniteGroupoid(
+    paths = _presented(
+        range(n),
+        ends=lambda _: (0, 0),
+        compose=lambda i, j: (i + j) % n,
+        inverse=lambda i: -i % n,
+        unit=lambda _: 0,
         term_count=1,
-        path_src=(0,) * n,
-        path_dst=(0,) * n,
-        refl=(0,),
-        comp={(i, j): (i + j) % n for i in range(n) for j in range(n)},
-        inv=tuple((n - i) % n for i in range(n)),
     )
+    return _groupoid(paths)
 
 
 def is_prop(g: FiniteGroupoid) -> bool:
@@ -185,18 +212,11 @@ def unit_typoid(name: str = "unit") -> Typoid:
 def twoedge_typoid(name: str = "twoedge") -> Typoid:
     """One term, one refl path, and a second edge in a cell of its own.
 
-    The extra cell is unreachable from the single base path, which makes
-    this the smallest non-univalent structure.
+    The edges are the paths of the cyclic group of order 2.  The extra cell
+    is unreachable from the single base path, which makes this the smallest
+    non-univalent structure.
     """
-    layer = EquivalenceLayer(
-        term_count=1,
-        edge_src=(0, 0),
-        edge_dst=(0, 0),
-        eqv=(0,),
-        star={(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 0},
-        einv=(0, 1),
-        cell=(0, 1),
-    )
+    layer = _layer(_paths(cyclic_groupoid(2)))
     return Typoid(name=name, base=discrete_groupoid(1), layer=layer, idtoeqv=(0,))
 
 
@@ -334,34 +354,14 @@ def pairing(
 # truncation
 
 def truncate(t: Typoid, name: str | None = None) -> Typoid:
-    """Keep the base groupoid, collapse the layer to exactly one edge per
-    ordered term pair with a single cell per hom-set."""
+    """Keep the base groupoid and take the paths of the codiscrete groupoid
+    as edges: exactly one edge per ordered term pair, each a cell of its
+    own.  The base is kept as given, so a base in canonical layout gives a
+    result in canonical layout."""
     _require_valid_typoid(t)
-    name = name or f"{t.name}_t"
-    n = t.term_count
-
-    def eid(x: int, y: int) -> int:
-        return x * n + y
-
-    layer = EquivalenceLayer(
-        term_count=n,
-        edge_src=tuple(x for x in range(n) for _ in range(n)),
-        edge_dst=tuple(y for _ in range(n) for y in range(n)),
-        eqv=tuple(eid(x, x) for x in range(n)),
-        star={
-            (eid(x, y), eid(y, z)): eid(x, z)
-            for x in range(n)
-            for y in range(n)
-            for z in range(n)
-        },
-        einv=tuple(eid(y, x) for x in range(n) for y in range(n)),
-        cell=tuple(range(n * n)),
-    )
-    idtoeqv = tuple(
-        eid(t.base.path_src[p], t.base.path_dst[p]) for p in range(t.base.path_count)
-    )
-    out, _, _ = _renumber(Typoid(name=name, base=t.base, layer=layer, idtoeqv=idtoeqv))
-    return out
+    layer = _layer(_paths(codiscrete_groupoid(t.term_count)))
+    idtoeqv = tuple(layer.hom(x, y)[0] for x, y in zip(t.base.path_src, t.base.path_dst))
+    return Typoid(name=name or f"{t.name}_t", base=t.base, layer=layer, idtoeqv=idtoeqv)
 
 
 def is_truncation_shaped(t: Typoid) -> bool:
@@ -401,26 +401,19 @@ def _completion_base(layer: EquivalenceLayer) -> tuple[FiniteGroupoid, tuple[int
     """A strict groupoid on the cell classes of a layer, with the table
     sending each class to its designated or representative edge."""
     reps = sorted(layer.class_members)
-    index = {r: i for i, r in enumerate(reps)}
-    refl = tuple(index[layer.cell[layer.eqv[x]]] for x in range(layer.term_count))
-    path_src = tuple(layer.edge_src[r] for r in reps)
-    leaving = _out_index(path_src, layer.term_count)
-    comp = {}
-    for i, r1 in enumerate(reps):
-        for j in leaving[layer.edge_dst[r1]]:
-            comp[(i, j)] = index[layer.cell[layer.star[(r1, reps[j])]]]
-    base = FiniteGroupoid(
+    cell, star = layer.cell, layer.star
+    paths = _presented(
+        reps,
+        ends=lambda r: (layer.edge_src[r], layer.edge_dst[r]),
+        compose=lambda r1, r2: cell[star[(r1, r2)]],
+        inverse=lambda r: cell[layer.einv[r]],
+        unit=lambda x: cell[layer.eqv[x]],
         term_count=layer.term_count,
-        path_src=path_src,
-        path_dst=tuple(layer.edge_dst[r] for r in reps),
-        refl=refl,
-        comp=comp,
-        inv=tuple(index[layer.cell[layer.einv[r]]] for r in reps),
     )
     idtoeqv = list(reps)
-    for x in range(layer.term_count):
-        idtoeqv[refl[x]] = layer.eqv[x]
-    return base, tuple(idtoeqv)
+    for x, p in enumerate(paths.unit):
+        idtoeqv[p] = layer.eqv[x]
+    return _groupoid(paths), tuple(idtoeqv)
 
 
 def univalent_completion(t: Typoid, name: str | None = None) -> Typoid:
@@ -490,8 +483,15 @@ def exponential_typoid(
     for m, *mates in a.layer.class_members.values():
         action_checks += [(e, lambda c, m=m, e=e: bcell[c[e]] == bcell[c[m]]) for e in mates]
 
+    # the term maps: one search position per term of a; each path and edge
+    # of a needs a nonempty hom-set of b once both of its ends are chosen
+    map_checks = [
+        (max(x, y), lambda c, x=x, y=y, hom=hom: bool(hom(c[x], c[y])))
+        for hom, src, dst in ((b.base.hom, a.base.path_src, a.base.path_dst), (b.layer.hom, asrc, adst))
+        for x, y in dict.fromkeys(zip(src, dst))
+    ]
     terms: list[TypoidMorphism] = []
-    for f in itertools.product(range(b.term_count), repeat=a.term_count):
+    for f in _backtrack([range(b.term_count)] * a.term_count, map_checks):
         options = [b.layer.hom(f[asrc[e]], f[adst[e]]) for e in range(a.layer.edge_count)]
         checks = action_checks + [
             (e, lambda c, e=e, unit=bcell[b.layer.eqv[f[x]]]: bcell[c[e]] == unit)
@@ -516,8 +516,7 @@ def exponential_typoid(
 
     # the families: one search position per term of a; the square over each
     # edge of a commutes up to cells once both of its ends are chosen
-    families: list[ExponentialEdge] = []
-    family_id: dict[tuple[int, int, tuple[int, ...]], int] = {}
+    families: list[tuple[int, int, tuple[int, ...]]] = []  # (src term, dst term, theta)
     for i, fm in enumerate(terms):
         for j, gm in enumerate(terms):
             options = [b.layer.hom(fm.term_map[x], gm.term_map[x]) for x in range(a.term_count)]
@@ -533,54 +532,24 @@ def exponential_typoid(
                     raise ResourceLimitError(
                         "max-edges", f"more than {limits.max_edges} edge families"
                     )
-                family_id[(i, j, theta)] = len(families)
-                families.append(ExponentialEdge(src_term=i, dst_term=j, theta=theta))
+                families.append((i, j, theta))
 
-    beinv = b.layer.einv
-
-    def fid(i: int, j: int, theta: tuple[int, ...]) -> int:
-        key = (i, j, theta)
-        if key not in family_id:
-            raise AssertionError("edge layer is not closed; construction bug")
-        return family_id[key]
-
-    eqv = tuple(
-        fid(i, i, tuple(b.layer.eqv[terms[i].term_map[x]] for x in range(a.term_count)))
-        for i in range(len(terms))
-    )
-    edge_src = tuple(f.src_term for f in families)
-    leaving = _out_index(edge_src, len(terms))
-    star = {}
-    for e1, fam1 in enumerate(families):
-        for e2 in leaving[fam1.dst_term]:
-            fam2 = families[e2]
-            pointwise = tuple(bstar[pair] for pair in zip(fam1.theta, fam2.theta))
-            star[(e1, e2)] = fid(fam1.src_term, fam2.dst_term, pointwise)
-    einv = tuple(
-        fid(f.dst_term, f.src_term, tuple(beinv[x] for x in f.theta)) for f in families
-    )
-    cell = tuple(
-        fid(f.src_term, f.dst_term, tuple(bcell[x] for x in f.theta)) for f in families
-    )
-    layer = EquivalenceLayer(
-        term_count=len(terms),
-        edge_src=edge_src,
-        edge_dst=tuple(f.dst_term for f in families),
-        eqv=eqv,
-        star=star,
-        einv=einv,
-        cell=cell,
+    beqv, beinv = b.layer.eqv, b.layer.einv
+    layer = _layer(
+        _presented(
+            families,
+            ends=lambda fam: fam[:2],
+            compose=lambda f1, f2: (f1[0], f2[1], tuple(map(bstar.__getitem__, zip(f1[2], f2[2])))),
+            inverse=lambda fam: (fam[1], fam[0], tuple(beinv[x] for x in fam[2])),
+            unit=lambda i: (i, i, tuple(beqv[y] for y in terms[i].term_map)),
+            term_count=len(terms),
+            cell=lambda fam: (fam[0], fam[1], tuple(bcell[x] for x in fam[2])),
+        )
     )
     base, idtoeqv = _completion_base(layer)
     out, _, emap = _renumber(Typoid(name=name, base=base, layer=layer, idtoeqv=idtoeqv))
-
-    final_edges: list[ExponentialEdge] = list(families)
-    for old, fam in enumerate(families):
-        final_edges[emap[old]] = fam
-    prov = ExponentialProvenance(
-        source=a, target=b, terms=tuple(terms), edges=tuple(final_edges)
-    )
-    return out, prov
+    edges = tuple(ExponentialEdge(*families[old]) for old in sorted(emap, key=emap.__getitem__))
+    return out, ExponentialProvenance(source=a, target=b, terms=tuple(terms), edges=edges)
 
 
 # ---------------------------------------------------------------------------
@@ -612,38 +581,20 @@ def universe_typoid(
                         "universe-size", f"more than {max_edges} bijections needed"
                     )
 
-    perms: list[tuple[int, int, tuple[int, ...]]] = []
-    pid: dict[tuple[int, int, tuple[int, ...]], int] = {}
-    for i, ni in enumerate(sets):
-        for j, nj in enumerate(sets):
-            if ni != nj:
-                continue
-            for perm in itertools.permutations(range(ni)):
-                pid[(i, j, perm)] = len(perms)
-                perms.append((i, j, perm))
-
-    comp = {}
-    for p, (i, j, sigma) in enumerate(perms):
-        for q, (j2, k, tau) in enumerate(perms):
-            if j2 != j:
-                continue
-            composite = tuple(tau[sigma[x]] for x in range(len(sigma)))
-            comp[(p, q)] = pid[(i, k, composite)]
-    inv = []
-    for (i, j, sigma) in perms:
-        inverse = [0] * len(sigma)
-        for x, y in enumerate(sigma):
-            inverse[y] = x
-        inv.append(pid[(j, i, tuple(inverse))])
-    identity = tuple(
-        pid[(i, i, tuple(range(n)))] for i, n in enumerate(sets)
-    )
-    base = FiniteGroupoid(
+    # a bijection is keyed (source set, target set, permutation)
+    perms = [
+        (i, j, perm)
+        for i, ni in enumerate(sets)
+        for j, nj in enumerate(sets)
+        if ni == nj
+        for perm in itertools.permutations(range(ni))
+    ]
+    paths = _presented(
+        perms,
+        ends=lambda p: p[:2],
+        compose=lambda p, q: (p[0], q[1], tuple(q[2][x] for x in p[2])),
+        inverse=lambda p: (p[1], p[0], tuple(sorted(range(len(p[2])), key=p[2].__getitem__))),
+        unit=lambda i: (i, i, tuple(range(sets[i]))),
         term_count=len(sets),
-        path_src=tuple(i for i, _, _ in perms),
-        path_dst=tuple(j for _, j, _ in perms),
-        refl=identity,
-        comp=comp,
-        inv=tuple(inv),
     )
-    return _equality(base, name)
+    return _equality(_groupoid(paths), name)

@@ -543,10 +543,9 @@ class _Ids(NamedTuple):
     src: list[int]
     dst: list[int]
 
-    def add(self, name: str, src: int, dst: int, i: int | None = None) -> None:
-        """Declare `name` with the next position in the lists, and with id
-        `i` if given (a designated eqv edge keeps its term's id)."""
-        self.ids[name] = len(self.names) if i is None else i
+    def add(self, name: str, src: int, dst: int) -> None:
+        """Declare `name` with the next id, its position in the lists."""
+        self.ids[name] = len(self.names)
         self.names.append(name)
         self.src.append(src)
         self.dst.append(dst)
@@ -622,11 +621,9 @@ def _assemble_typoid(
                 table.setdefault((src[q], q), q)
             if dst[q] in absorbing:
                 table.setdefault((q, dst[q]), q)
-        # Missing pairs are counted, not walked, so the listing stops at the
-        # cap.  After a failed eqv override a default row's pair need not
-        # compose, so only composable keys count as present.
+        # missing pairs are counted, not walked, so the listing stops at the cap
         out = _out_index(src, n_terms)
-        missing = sum(len(out[d]) for d in dst) - sum(dst[x] == src[y] for x, y in table)
+        missing = sum(len(out[d]) for d in dst) - len(table)
         pairs = ((x, y) for x in range(len(src)) for y in out[dst[x]] if (x, y) not in table)
         names = level.names
         for x, y in islice(pairs, min(missing, _MISSING_SHOWN)):
@@ -696,17 +693,16 @@ def _assemble_typoid(
                 error(locate(at, 2), E_UNKNOWN, f"unknown edge {en!r}")
             elif info[:2] != (x, x):
                 error(locate(at, 2), E_ENDPOINTS, f"designated eqv edge {en!r} is not an edge {name} ~ {name}")
-                continue
             else:
-                edges.add(en, x, x, x)
+                edges.add(en, x, x)
                 continue
-        elif f"eqv_{name}" in declared_edges:
+        if f"eqv_{name}" in declared_edges:
             error(
                 locate(declared_edges[f"eqv_{name}"][2], 1), E_DUPLICATE,
                 f"edge name eqv_{name} collides with the implicit designated edge",
             )
         implicit_eqv.add(x)
-        edges.add(f"eqv_{name}", x, x, x)
+        edges.add(f"eqv_{name}", x, x)
     for name, (src, dst, _) in declared_edges.items():
         if name not in edges.ids:  # else an override already placed it
             edges.add(name, src, dst)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import typoid as T
 from typoid import cli
-from typoid.dsl import _MISSING_SHOWN, document_for, parse, serialize
+from typoid.dsl import _MISSING_SHOWN, _TYPOID_STATEMENTS, document_for, parse, serialize
 from typoid.model import Budget, validate_typoid
 from typoid.morphisms import identity_morphism, validate_morphism
 
@@ -545,6 +545,62 @@ def _document_requests(draw):
 )
 @given(request=_document_requests())
 def test_mutated_documents_end_in_one_report(tmp_path, capsys, monkeypatch, request):
+    monkeypatch.chdir(tmp_path)
+    text, argv = request
+    (tmp_path / "doc.typoid").write_text(text)
+    code = cli.main(argv)
+    lines = capsys.readouterr().out.splitlines()
+    assert code in (0, 1, 2, 3)
+    assert len(lines) == 1
+    assert cli._EXIT_CODES[json.loads(lines[0])["result"]] == code
+
+
+_KEYWORDS = (
+    "typoid", "morphism", "terms", "strictunits", "path", "comp", "pinv", "edge", "eqv", "star",
+    "einv", "cell", "idtoeqv", "term",
+)
+_NAMES = ("A", "B", "a", "b", "e", "p", "refl_a", "eqv_b")
+_PUNCTUATION = ("->", "~", ".", "*", "=", "==", "=>", "|->", ":", ";", "{", "}")
+
+
+@st.composite
+def _token_streams(draw):
+    """Tokens of the text format (keywords, names, all punctuation,
+    comments, newlines and the stray `$`), often grouped into statements
+    (a keyword, a few names and punctuation, `;`) so some reach the
+    assembler, sometimes after a `typoid A { terms a b ;` header; and a
+    command reading them."""
+    token = st.sampled_from(_KEYWORDS + _NAMES + _PUNCTUATION + ("# a comment\n", "\n", "$"))
+    name = st.sampled_from(_NAMES)
+    statement = st.builds(
+        lambda keyword, rest: [keyword, *rest, ";"],
+        st.sampled_from(_KEYWORDS),
+        st.lists(st.sampled_from(_NAMES * 2 + _PUNCTUATION), max_size=5),
+    )
+    # a row statement of the right shape, with names drawn at random
+    row = st.sampled_from(sorted(_TYPOID_STATEMENTS.items())).flatmap(
+        lambda item: st.tuples(*(name if k % 2 == 0 else st.just(w) for k, w in enumerate(item[1]))).map(
+            lambda words: [item[0], *words, ";"]
+        )
+    )
+    parts = draw(st.lists(st.one_of(token.map(lambda t: [t]), statement, row, row, row), max_size=8))
+    text = " ".join(t for part in parts for t in part)
+    if draw(st.integers(0, 3)):
+        text = "typoid A { terms a b ; " + text + (" }" if draw(st.booleans()) else "")
+    argv = ["validate", "doc.typoid"] if draw(st.booleans()) else ["univalence", "doc.typoid"]
+    if argv[0] == "univalence" and draw(st.booleans()):
+        argv += ["--typoid", draw(st.sampled_from(("A", "B")))]
+    return text, argv
+
+
+@settings(
+    max_examples=200,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(request=_token_streams())
+def test_random_token_streams_end_in_one_report(tmp_path, capsys, monkeypatch, request):
     monkeypatch.chdir(tmp_path)
     text, argv = request
     (tmp_path / "doc.typoid").write_text(text)

@@ -299,6 +299,25 @@ def test_exponential_matches_brute_force_on_larger_pairs(a, b):
     )
 
 
+@pytest.mark.parametrize("k", range(5))
+def test_exponential_matches_brute_force_from_codiscrete_sources(k):
+    # most term maps send some path to an empty hom-set; the search drops them
+    a = T.equality_typoid(T.codiscrete_groupoid(k), f"c{k}")
+    b = T.equality_typoid(T.discrete_groupoid(4), "d4")
+    assert _exponential_outcome(T.exponential_typoid, a, b) == _exponential_outcome(naive_exponential, a, b)
+
+
+def test_exponential_prunes_term_maps_as_soon_as_a_path_has_no_image():
+    # 4**8 term maps, of which only the 4 constant ones carry a functor
+    a = T.equality_typoid(T.codiscrete_groupoid(8), "c8")
+    b = T.equality_typoid(T.discrete_groupoid(4), "d4")
+    start = time.perf_counter()
+    exp, prov = T.exponential_typoid(a, b)
+    assert time.perf_counter() - start < 1.0
+    assert [m.term_map for m in prov.terms] == [(y,) * 8 for y in range(4)]
+    assert exp.term_count == 4
+
+
 def test_exponential_limits_stop_at_the_same_result_as_brute_force():
     base = stock_base()
     pairs = [(base["bool_disc"], base["eq_z2"]), (base["universe2"], base["universe11"]), (base["prop2"], base["bool_disc"])]

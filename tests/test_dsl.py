@@ -154,6 +154,23 @@ def test_strictunits_fills_absorption_rows_for_overridden_eqv():
     assert all(d.code == E_MISSING for d in result.diagnostics)
 
 
+def test_failed_eqv_override_falls_back_to_the_implicit_edge():
+    # the override is refused, so term a keeps eqv_a and the later eqv_b
+    # keeps its own id: only the rows of e are missing
+    result = parse("typoid T { terms a b ; edge e : a ~ b ; eqv a = e ; }")
+    assert [(d.code, d.message) for d in result.diagnostics] == [
+        ("E105", "missing einv entry for 'e' in typoid 'T'"),
+        ("E104", "designated eqv edge 'e' is not an edge a ~ a"),
+    ]
+    # the implicit edge then collides with a declared one of its name, as
+    # after a refused unknown override
+    for override in ("e", "g"):
+        result = parse(f"typoid T {{ terms a b ; edge eqv_a : a ~ a ; edge e : a ~ b ; eqv a = {override} ; }}")
+        assert "edge name eqv_a collides with the implicit designated edge" in [
+            d.message for d in result.diagnostics
+        ]
+
+
 def test_morphism_parsing_and_resolution():
     src = (
         TWOEDGE_SOURCE
@@ -441,7 +458,7 @@ def test_statement_pass_reads_well_formed_documents_like_the_token_parser():
     ] == [
         (2, 8, "E105"), (2, 8, "E105"), (2, 8, "E105"), (2, 8, "E105"), (2, 8, "E105"),
         (2, 8, "E105"), (2, 8, "E105"), (2, 8, "E105"), (2, 8, "E105"), (2, 8, "E105"),
-        (2, 8, "E105"), (2, 8, "E105"), (3, 22, "E102"), (5, 17, "E103"), (7, 22, "E102"),
+        (3, 22, "E102"), (5, 17, "E103"), (7, 22, "E102"),
         (8, 16, "E103"), (8, 30, "E104"), (8, 67, "E106"), (9, 22, "E106"),
         (9, 36, "E103"), (10, 26, "E102"), (10, 44, "E102"), (12, 20, "E106"),
         (12, 33, "E103"), (12, 50, "E104"), (12, 63, "E103"), (13, 12, "E104"),
@@ -464,12 +481,10 @@ def test_assembly_diagnostics_are_worded_as_pinned():
         "missing comp entry for 'q' . 'p' in typoid 'A'",
         "missing pinv entry for 'q' in typoid 'A'",
         "missing star entry for 'u' * 'e' in typoid 'A'",
-        "missing star entry for 'eqv_v' * 'eqv_v' in typoid 'A'",
         "missing star entry for 'e' * 'f' in typoid 'A'",
         "missing star entry for 'f' * 'u' in typoid 'A'",
         "missing star entry for 'f' * 'e' in typoid 'A'",
         "missing einv entry for 'u' in typoid 'A'",
-        "missing einv entry for 'eqv_v' in typoid 'A'",
         "missing einv entry for 'f' in typoid 'A'",
         "missing idtoeqv entry for 'q' in typoid 'A'",
         "duplicate term 'x'",
