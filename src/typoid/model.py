@@ -5,13 +5,17 @@ second level is a layer of equivalence edges whose hom-sets are partitioned
 into cells; the four weak-groupoid laws (Typ1..Typ4) only have to hold up to
 the cell partition.  A path-to-edge table ties the two levels together.
 
-Validators check every law instance exhaustively and report each failure
-with a concrete witness instead of aborting on the first problem.  Paths
-are checked as a level whose cells are singletons, so one checker holds the
-table, unit, inverse and associativity laws of both levels.  The
-composition tables are split into one row per path or edge, indexed by the
-terms' outgoing ids, so associativity runs over the composable triples only
-instead of over every triple of ids.
+Validators report every failing law instance with a concrete witness
+instead of aborting on the first problem; their reports, law counts and
+budget charges are those of an exhaustive check.  Paths are checked as a
+level whose cells are singletons, so one checker holds the table, unit,
+inverse and associativity laws of both levels.  The composition tables are
+split into one row per path or edge, indexed by the terms' outgoing ids, so
+associativity runs over composable triples only.  On a level whose tables,
+units, inverses and congruence hold, associativity is checked on
+generators (Light's test: the middles it holds around are closed under
+composition); when a generator fails, the exhaustive loop runs, so every
+witness is listed.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 DEFAULT_MAX_CHECKS = 10_000_000
 
@@ -282,23 +286,24 @@ def _table_rows(
 
 
 def _associativity(
-    rows: list[dict[int, int]], cell: Sequence[int]
+    rows: list[dict[int, int]], cell: Sequence[int], middles: Iterable[int]
 ) -> tuple[int, list[tuple[int, int, int, int, int]]]:
     """Associativity up to cells over the composable triples (p, q, r) of a
-    row table.
+    row table whose middle q is one of `middles`.
 
     Counts the instances whose two bracketings are both defined and returns
-    (p, q, r, lhs, rhs) for those that lie in different cells.  Row q holds
-    exactly the r composable after q, so each (p, q) compares its two
-    bracketings over row q in one pass.
+    (p, q, r, lhs, rhs) for those that lie in different cells, in no fixed
+    order.  Row q holds exactly the r composable after q, so each (p, q)
+    compares its two bracketings over row q in one pass.
     """
+    middles = set(middles)
     count = 0
     bad: list[tuple[int, int, int, int, int]] = []
     for p, row_p in enumerate(rows):
         p_get = row_p.get
-        for q, pq in row_p.items():
+        for q in row_p.keys() & middles:
             row_q = rows[q]
-            lhs = list(map(rows[pq].get, row_q))
+            lhs = list(map(rows[row_p[q]].get, row_q))
             rhs = list(map(p_get, row_q.values()))
             if lhs == rhs:
                 count += len(lhs) - lhs.count(None)
@@ -310,6 +315,47 @@ def _associativity(
                 if cell[a] != cell[b]:
                     bad.append((p, q, r, a, b))
     return count, bad
+
+
+def _generators(
+    rows: list[dict[int, int]], unit: Sequence[int], src: Sequence[int], dst: Sequence[int]
+) -> list[int]:
+    """Generators of a level whose composable pairs all have entries, chosen
+    greedily in id order: starting from the units, the ids reached are
+    closed under right multiplication by the generators chosen so far, and
+    each id still unreached becomes a new generator."""
+    reached = [False] * len(rows)
+    ending: list[list[int]] = [[] for _ in unit]  # reached ids by target
+    leaving: list[list[int]] = [[] for _ in unit]  # generators by source
+    todo: list[int] = []
+
+    def reach(r: int) -> None:
+        if not reached[r]:
+            reached[r] = True
+            ending[dst[r]].append(r)
+            todo.append(r)
+
+    def close() -> None:
+        while todo:
+            r = todo.pop()
+            row = rows[r]
+            for g in leaving[dst[r]]:
+                reach(row[g])
+
+    for x in unit:
+        reach(x)
+    close()
+    generators: list[int] = []
+    for g in range(len(rows)):
+        if reached[g]:
+            continue
+        generators.append(g)
+        leaving[src[g]].append(g)
+        for r in list(ending[src[g]]):
+            reach(rows[r][g])
+        reach(g)
+        close()
+    return generators
 
 
 class _Words(NamedTuple):
@@ -414,13 +460,14 @@ def _malformed(level: _Level, violations: list[Violation]) -> bool:
 
 def _level_laws(
     level: _Level, violations: list[Violation], counts: dict[str, int], budget: Budget
-) -> list[dict[int, int]]:
-    """The unit, inverse and associativity laws of a readable level, up to
-    its cells.  Returns the composition table split into rows."""
+) -> tuple[list[dict[int, int]], int]:
+    """The unit and inverse laws of a readable level, up to its cells, and
+    the charge for its associativity.  Returns the composition table split
+    into rows and the number of composable triples charged."""
     w, term_count, src, dst, unit, table, inv, cell = level
     out = _out_index(src, term_count)
     rows = _table_rows(w.comp, table, src, dst, out, violations)
-    unit_law, inv_law, assoc_law = w.laws
+    unit_law, inv_law, _ = w.laws
     left, right, forward, backward = w.units
     # one charge per law name, in order: paths spend units and inverses at
     # once as Groupoid, edges spend Typ1 and then Typ2
@@ -440,17 +487,77 @@ def _level_laws(
     for law, spent in charges.items():
         counts[law] = spent
         budget.spend(spent)
+    triples = _triple_estimate(src, dst, out)
+    budget.spend(triples)
+    return rows, triples
 
-    budget.spend(_triple_estimate(src, dst, out))
-    assoc, bad = _associativity(rows, cell)
-    counts[assoc_law] = counts.get(assoc_law, 0) + assoc
+
+def _associativity_law(
+    level: _Level,
+    rows: list[dict[int, int]],
+    triples: int,
+    clean: bool,
+    violations: list[Violation],
+    counts: dict[str, int],
+) -> None:
+    """The associativity law of a level, up to its cells.
+
+    A clean level has an entry for every composable pair, its units and
+    inverses hold, and composition respects its cells.  There the middles q
+    with (p·q)·r in the cell of p·(q·r) for all p and r are closed under
+    composition (Light's test), so it is enough that every generator is
+    one; then all `triples` hold.  Otherwise every middle is checked, so
+    the count and the witnesses are those of the exhaustive check.
+    """
+    w, _, src, dst, unit, _, _, cell = level
+    assoc, bad = triples, []
+    if not clean or _associativity(rows, cell, _generators(rows, unit, src, dst))[1]:
+        assoc, bad = _associativity(rows, cell, range(len(src)))
+    law = w.laws[2]
+    counts[law] = counts.get(law, 0) + assoc
     for p, q, r, lhs, rhs in bad:
-        violations.append(Violation(assoc_law, (p, q, r), w.assoc.format(p, q, r, lhs, rhs)))
-    return rows
+        violations.append(Violation(law, (p, q, r), w.assoc.format(p, q, r, lhs, rhs)))
+
+
+def _congruence(
+    layer: EquivalenceLayer, rows: list[dict[int, int]], violations: list[Violation], budget: Budget
+) -> int:
+    """Typ4: star respects cells, over every composable pair of cells.
+    Returns the instance count."""
+    cell = layer.cell
+    classes = list(layer.class_members.values())
+    after: list[list[tuple[int, ...]]] = [[] for _ in range(layer.term_count)]
+    for members in classes:
+        after[layer.edge_src[members[0]]].append(members)
+    # every pair of composable classes, weighted by both squared sizes
+    squares = [sum(len(m) ** 2 for m in leaving) for leaving in after]
+    budget.spend(sum(len(m1) ** 2 * squares[layer.edge_dst[m1[0]]] for m1 in classes))
+    typ4 = 0
+    for m1 in classes:
+        for m2 in after[layer.edge_dst[m1[0]]]:
+            if len(m1) == len(m2) == 1:
+                # one composite, compared with itself
+                typ4 += m2[0] in rows[m1[0]]
+                continue
+            stars = [(e1, e2, rows[e1].get(e2)) for e1 in m1 for e2 in m2]
+            for e1, e2, lhs in stars:
+                for d1, d2, rhs in stars:
+                    if lhs is None or rhs is None:
+                        continue
+                    typ4 += 1
+                    if cell[lhs] != cell[rhs]:
+                        violations.append(
+                            Violation(
+                                "Typ4",
+                                (e1, e2, d1, d2),
+                                f"star({e1},{e2}) and star({d1},{d2}) are in different cells",
+                            )
+                        )
+    return typ4
 
 
 def validate_groupoid(g: FiniteGroupoid, budget: Budget | None = None) -> ValidationReport:
-    """Check strict groupoid laws and table bookkeeping exhaustively.
+    """Check strict groupoid laws and table bookkeeping.
 
     Reports no law count when the tables are too malformed to read."""
     budget = budget or Budget()
@@ -459,14 +566,16 @@ def validate_groupoid(g: FiniteGroupoid, budget: Budget | None = None) -> Valida
     if g.term_count < 0:
         violations.append(Violation("Bookkeeping", (), "negative term count"))
     paths = _paths(g)
+    clean_from = len(violations)
     if not _malformed(paths, violations):
-        _level_laws(paths, violations, counts, budget)
+        rows, triples = _level_laws(paths, violations, counts, budget)
+        _associativity_law(paths, rows, triples, len(violations) == clean_from, violations, counts)
     return ValidationReport.collect(violations, counts)
 
 
 def validate_typoid(t: Typoid, budget: Budget | None = None) -> ValidationReport:
     """Check the base groupoid, the cell partition, Typ1..Typ4 and the
-    path-to-edge table over every applicable tuple."""
+    path-to-edge table."""
     budget = budget or Budget()
     base_report = validate_groupoid(t.base, budget)
     violations = list(base_report.violations)
@@ -479,6 +588,7 @@ def validate_typoid(t: Typoid, budget: Budget | None = None) -> ValidationReport
         )
         return ValidationReport.collect(violations, counts)
     edges = _edges(layer)
+    clean_from = len(violations)
     if _malformed(edges, violations):
         return ValidationReport.collect(violations, counts)
 
@@ -512,33 +622,12 @@ def validate_typoid(t: Typoid, budget: Budget | None = None) -> ValidationReport
         # would only produce noise on top of the Partition reports
         return ValidationReport.collect(violations, counts)
 
-    rows = _level_laws(edges, violations, counts, budget)
-    cell = layer.cell
-
-    # Typ4: star respects cells, over every composable pair of cells
-    classes = list(layer.class_members.values())
-    after: list[list[tuple[int, ...]]] = [[] for _ in range(layer.term_count)]
-    for members in classes:
-        after[layer.edge_src[members[0]]].append(members)
-    budget.spend(sum(len(m1) ** 2 * len(m2) ** 2 for m1 in classes for m2 in after[layer.edge_dst[m1[0]]]))
-    typ4 = 0
-    for m1 in classes:
-        for m2 in after[layer.edge_dst[m1[0]]]:
-            stars = [(e1, e2, rows[e1].get(e2)) for e1 in m1 for e2 in m2]
-            for e1, e2, lhs in stars:
-                for d1, d2, rhs in stars:
-                    if lhs is None or rhs is None:
-                        continue
-                    typ4 += 1
-                    if cell[lhs] != cell[rhs]:
-                        violations.append(
-                            Violation(
-                                "Typ4",
-                                (e1, e2, d1, d2),
-                                f"star({e1},{e2}) and star({d1},{d2}) are in different cells",
-                            )
-                        )
+    rows, triples = _level_laws(edges, violations, counts, budget)
+    # Typ4 comes before Typ3, whose generator check needs congruence
+    typ4 = _congruence(layer, rows, violations, budget)
+    _associativity_law(edges, rows, triples, len(violations) == clean_from, violations, counts)
     counts["Typ4"] = typ4
+    cell = layer.cell
 
     if "Groupoid" not in base_report.law_counts:
         # the base tables are unreadable, so the path-to-edge table is too
@@ -576,7 +665,7 @@ def validate_typoid(t: Typoid, budget: Budget | None = None) -> ValidationReport
                         )
                     )
             in_range = range(t.base.path_count)
-            for (p, q), pq in sorted(t.base.comp.items()):
+            for (p, q), pq in t.base.comp.items():
                 if p not in in_range or q not in in_range or pq not in in_range:
                     continue  # already a base bookkeeping violation
                 composite = rows[t.idtoeqv[p]].get(t.idtoeqv[q])

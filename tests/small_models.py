@@ -10,6 +10,7 @@ piece is enumerated exhaustively within the requested bounds.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from functools import lru_cache
 
@@ -457,6 +458,24 @@ def naive_typ4_estimate(layer: EquivalenceLayer) -> int:
         for d in range(layer.edge_count)
         if layer.edge_dst[e] == layer.edge_src[d]
     )
+
+
+def same_hom_redirects(t: Typoid, i: int):
+    """Copies of t with one comp or star entry set to the next id of the
+    same hom-set, so every table stays well formed.  About three keys per
+    table, spread over its sorted keys from an offset picked by i."""
+    for part, name, src, dst in (
+        ("base", "comp", "path_src", "path_dst"),
+        ("layer", "star", "edge_src", "edge_dst"),
+    ):
+        level = getattr(t, part)
+        table, s, d = getattr(level, name), getattr(level, src), getattr(level, dst)
+        keys = [(p, q) for p, q in sorted(table) if len(level.hom(s[p], d[q])) >= 2]
+        for key in keys[i % 5::max(len(keys) // 3, 1)]:
+            hom = level.hom(s[key[0]], d[key[1]])
+            other = hom[(hom.index(table[key]) + 1) % len(hom)]
+            changed = dataclasses.replace(level, **{name: {**table, key: other}})
+            yield dataclasses.replace(t, **{part: changed})
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import typoid as T
 from typoid.model import EquivalenceLayer, FiniteGroupoid, Typoid
 
 from corpus import full_stock
-from small_models import family, naive_associativity, naive_entries, naive_typ4_estimate
+from small_models import family, naive_associativity, naive_entries, naive_typ4_estimate, same_hom_redirects
 
 
 def z2_groupoid() -> FiniteGroupoid:
@@ -279,6 +279,40 @@ def _single_row_mutants(t: Typoid, i: int):
         yield Typoid(t.name, base, lay, t.idtoeqv)
 
 
+def _assert_matches_brute_force(t: Typoid) -> None:
+    """Groupoid and Typ3 agree with a loop over every triple of ids on the
+    violations, the law counts and the budget spent."""
+    base, layer = t.base, t.layer
+    g_budget = T.Budget(10**9)
+    g_report = T.validate_groupoid(base, g_budget)
+    t_budget = T.Budget(10**9)
+    t_report = T.validate_typoid(t, t_budget)
+
+    good = naive_entries(base.comp, base.path_src, base.path_dst)
+    unit_inverse = 0
+    for p in range(base.path_count):
+        x, y, inv = base.path_src[p], base.path_dst[p], base.inv[p]
+        for pair in ((base.refl[x], p), (p, base.refl[y]), (p, inv), (inv, p)):
+            unit_inverse += pair in good
+    triples, instances, failing = naive_associativity(base.comp, base.path_src, base.path_dst)
+    assert g_report.law_counts["Groupoid"] == unit_inverse + instances
+    assert g_budget.spent == unit_inverse + triples
+    assert [v.witness for v in g_report.violations if v.law == "Groupoid" and len(v.witness) == 3] == failing
+    assert t_report.law_counts["Groupoid"] == g_report.law_counts["Groupoid"]
+
+    triples, instances, failing = naive_associativity(
+        layer.star, layer.edge_src, layer.edge_dst, layer.cell
+    )
+    counts = t_report.law_counts
+    assert counts["Typ3"] == instances
+    assert [v.witness for v in t_report.violations if v.law == "Typ3"] == failing
+    assert t_budget.spent == (
+        g_budget.spent
+        + counts["Partition"] + counts["Typ1"] + counts["Typ2"] + triples
+        + naive_typ4_estimate(layer) + counts["IdtoEqv"]
+    )
+
+
 def test_indexed_associativity_matches_brute_force():
     """Groupoid and Typ3 agree with a loop over every triple of ids on the
     violations, the law counts and the budget spent."""
@@ -286,37 +320,94 @@ def test_indexed_associativity_matches_brute_force():
     checked = 0
     for i in range(0, len(fam), 7):
         for t in _single_row_mutants(fam[i], i):
-            base, layer = t.base, t.layer
-            g_budget = T.Budget(10**9)
-            g_report = T.validate_groupoid(base, g_budget)
-            t_budget = T.Budget(10**9)
-            t_report = T.validate_typoid(t, t_budget)
-
-            good = naive_entries(base.comp, base.path_src, base.path_dst)
-            unit_inverse = 0
-            for p in range(base.path_count):
-                x, y, inv = base.path_src[p], base.path_dst[p], base.inv[p]
-                for pair in ((base.refl[x], p), (p, base.refl[y]), (p, inv), (inv, p)):
-                    unit_inverse += pair in good
-            triples, instances, failing = naive_associativity(base.comp, base.path_src, base.path_dst)
-            assert g_report.law_counts["Groupoid"] == unit_inverse + instances
-            assert g_budget.spent == unit_inverse + triples
-            assert [v.witness for v in g_report.violations if v.law == "Groupoid" and len(v.witness) == 3] == failing
-            assert t_report.law_counts["Groupoid"] == g_report.law_counts["Groupoid"]
-
-            triples, instances, failing = naive_associativity(
-                layer.star, layer.edge_src, layer.edge_dst, layer.cell
-            )
-            counts = t_report.law_counts
-            assert counts["Typ3"] == instances
-            assert [v.witness for v in t_report.violations if v.law == "Typ3"] == failing
-            assert t_budget.spent == (
-                g_budget.spent
-                + counts["Partition"] + counts["Typ1"] + counts["Typ2"] + triples
-                + naive_typ4_estimate(layer) + counts["IdtoEqv"]
-            )
+            _assert_matches_brute_force(t)
             checked += 1
     assert checked > 4 * len(range(0, len(fam), 7))
+
+
+def test_associativity_matches_brute_force_on_redirects():
+    """The same agreement when a single entry is redirected inside its
+    hom-set.  Such tables stay clean, so where units, inverses and Typ4
+    still hold, a failing generator must fall back to the exhaustive loop
+    for the witnesses."""
+    fam = family()
+    stock = [t for t in full_stock().values() if any(
+        len(level.hom(x, y)) >= 2 for level in (t.base, t.layer)
+        for x in range(t.term_count) for y in range(t.term_count)
+    )]
+    fallbacks = 0
+    for i, t in enumerate([*fam[::7], *stock]):
+        for m in same_hom_redirects(t, i):
+            _assert_matches_brute_force(m)
+            laws = {v.law for v in T.validate_typoid(m, T.Budget(10**9)).violations}
+            fallbacks += bool(laws) and laws <= {"Groupoid", "Typ3"}
+    assert fallbacks > 100
+
+
+def test_failing_generator_lists_every_failing_triple():
+    """Z4 with comp(1,2) redirected: the table is clean and its generator 1
+    fails, so every failing triple is listed, in order."""
+    g = T.cyclic_groupoid(4)
+    budget = T.Budget(10**9)
+    report = T.validate_groupoid(dataclasses.replace(g, comp={**g.comp, (1, 2): 0}), budget)
+    assert [(v.law, v.witness, v.detail) for v in report.violations] == [
+        ("Groupoid", (1, 1, 1), "comp(comp(1,1),1) = 3 but comp(1,comp(1,1)) = 0"),
+        ("Groupoid", (1, 1, 2), "comp(comp(1,1),2) = 0 but comp(1,comp(1,2)) = 1"),
+        ("Groupoid", (1, 2, 1), "comp(comp(1,2),1) = 1 but comp(1,comp(2,1)) = 0"),
+        ("Groupoid", (1, 2, 2), "comp(comp(1,2),2) = 2 but comp(1,comp(2,2)) = 1"),
+        ("Groupoid", (1, 2, 3), "comp(comp(1,2),3) = 3 but comp(1,comp(2,3)) = 2"),
+        ("Groupoid", (1, 3, 3), "comp(comp(1,3),3) = 3 but comp(1,comp(3,3)) = 0"),
+        ("Groupoid", (2, 1, 2), "comp(comp(2,1),2) = 1 but comp(2,comp(1,2)) = 2"),
+        ("Groupoid", (2, 3, 2), "comp(comp(2,3),2) = 0 but comp(2,comp(3,2)) = 3"),
+        ("Groupoid", (3, 1, 2), "comp(comp(3,1),2) = 2 but comp(3,comp(1,2)) = 3"),
+        ("Groupoid", (3, 2, 2), "comp(comp(3,2),2) = 0 but comp(3,comp(2,2)) = 3"),
+    ]
+    assert report.law_counts == {"Groupoid": 80}
+    assert budget.spent == 80
+
+
+def test_generator_check_needs_congruence():
+    """A layer whose star breaks Typ4: its one generator, edge 1, passes,
+    yet two triples fail Typ3.  Without congruence the middles need not be
+    closed under star, so both must still be listed."""
+    base = FiniteGroupoid(1, (0,), (0,), (0,), {(0, 0): 0}, (0,))
+    star = {(0, 0): 0, (0, 1): 1, (0, 2): 2, (1, 0): 1, (2, 0): 2, (1, 1): 2, (1, 2): 0, (2, 1): 0, (2, 2): 2}
+    t = Typoid("t", base, EquivalenceLayer(1, (0,) * 3, (0,) * 3, (0,), star, (0, 2, 1), (0, 1, 1)), (0,))
+    report = T.validate_typoid(t, T.Budget(10**9))
+    assert [v.witness for v in report.violations if v.law == "Typ3"] == [(1, 2, 2), (2, 2, 1)]
+    assert {v.law for v in report.violations} == {"Typ3", "Typ4"}
+    assert report.law_counts == {
+        "Groupoid": 5, "Partition": 5, "Typ1": 6, "Typ2": 6, "Typ3": 27, "Typ4": 25, "IdtoEqv": 2
+    }
+    _assert_matches_brute_force(t)
+
+
+def test_generator_check_needs_readable_units():
+    """Term 0's refl is path 2, a loop at term 1, and path 0's inverse has
+    the wrong endpoints: both are Bookkeeping reports, and the unit and
+    inverse laws of path 0 are never evaluated.  Generators picked from
+    these units would be paths 0 and 3, which pass, yet two triples around
+    path 2 fail, and both must be listed."""
+    comp = {(0, 0): 0, (1, 1): 1, (1, 2): 2, (1, 3): 3, (2, 1): 2, (3, 1): 3, (2, 2): 1, (2, 3): 2, (3, 2): 2, (3, 3): 1}
+    budget = T.Budget(10**9)
+    report = T.validate_groupoid(FiniteGroupoid(2, (0, 1, 1, 1), (0, 1, 1, 1), (2, 1), comp, (1, 1, 2, 3)), budget)
+    assert [(v.law, v.witness) for v in report.violations] == [
+        ("Bookkeeping", (0, 1)), ("Bookkeeping", (0, 2)), ("Groupoid", (2, 2, 3)), ("Groupoid", (3, 2, 2)),
+    ]
+    assert report.law_counts == {"Groupoid": 40}
+    assert budget.spent == 40
+
+
+def test_law_counts_keep_law_order_and_match_the_budget():
+    """Every stock structure reports its law counts in law order, and a
+    valid structure spends exactly the instances it counts."""
+    for name, t in full_stock().items():
+        budget = T.Budget(10**9)
+        report = T.validate_typoid(t, budget)
+        assert list(report.law_counts) == [
+            "Groupoid", "Partition", "Typ1", "Typ2", "Typ3", "Typ4", "IdtoEqv"
+        ], name
+        assert budget.spent == report.checks, name
 
 
 # ---------------------------------------------------------------------------
