@@ -278,7 +278,10 @@ def _id_table(raw: str, flag: str, what: str, src_names, dst_names, table: list)
         name, colon, target = item.partition(":")
         if not colon:
             raise ValueError(f"bad {flag} entry {item!r}; expected name:name")
-        rows[name.strip()] = target.strip()
+        name = name.strip()
+        if name in rows:
+            raise ValueError(f"{flag} maps {what} {name!r} twice")
+        rows[name] = target.strip()
     src_ids = {n: i for i, n in enumerate(src_names)}
     dst_ids = {n: i for i, n in enumerate(dst_names)}
     for name, target in rows.items():

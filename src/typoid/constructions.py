@@ -3,11 +3,12 @@ products, exponentials of morphisms, truncations, finite universes of sets
 with bijections as edges, and the completion that regrows a base groupoid
 out of the cell classes.
 
-Every public construction returns structures in canonical id layout:
-refl paths and designated eqv edges occupy ids 0..term_count-1 in term
-order.  The serializer relies on this.  `truncate` keeps its input's base,
-so it does when that base is canonical, as every parsed or constructed
-base is.
+Every public construction returns structures in one normal form, which
+`_presented` writes at once: canonical ids (refl paths and designated eqv
+edges are ids 0..term_count-1 in term order, each cell is labelled by its
+least id), with composition rows inserted in id order.  The serializer
+relies on the ids.  `equality_typoid` and `truncate` keep a canonical base
+as given, so they keep the form when their input's base has it.
 """
 
 from __future__ import annotations
@@ -46,12 +47,32 @@ def _layer(edges: _Level) -> EquivalenceLayer:
     return EquivalenceLayer(*edges[1:7], tuple(edges.cell))
 
 
+def _least(labels) -> tuple[int, ...]:
+    """Each id's class label, in id order, replaced by the least id of its
+    class: the first id that carries the label."""
+    least: dict = {}
+    return tuple(least.setdefault(c, i) for i, c in enumerate(labels))
+
+
+def _units_then(units, keys) -> tuple:
+    """The units in order, then the other keys in order."""
+    first = dict.fromkeys(units)
+    return (*first, *(k for k in keys if k not in first))
+
+
+def _canonical(term_count: int, *units) -> bool:
+    """Every unit table is 0..term_count-1: the units come first."""
+    return all(tuple(u) == tuple(range(term_count)) for u in units)
+
+
 def _presented(keys, ends, compose, inverse, unit, term_count: int, cell=None) -> _Level:
     """The level whose ids number `keys` in order.  `ends(k)` gives the
-    terms key k joins; `compose(k1, k2)`, `inverse(k)`, `unit(x)` and
-    `cell(k)`, the least member of k's class, give keys.  Composition rows
-    are filled over composable pairs in id order.  Without `cell` each key
-    is a cell of its own."""
+    terms key k joins; `compose(k1, k2)`, `inverse(k)` and `unit(x)` give
+    keys, and `cell(k)` names k's class by any hashable value.  Composition
+    rows are filled over composable pairs in id order, and each cell is
+    labelled by its least id.  Without `cell` each key is a cell of its
+    own.  Keys that start with the units, in term order, give a level in
+    canonical layout."""
     try:
         index = {k: i for i, k in enumerate(keys)}
         joined = [ends(k) for k in keys]
@@ -70,38 +91,27 @@ def _presented(keys, ends, compose, inverse, unit, term_count: int, cell=None) -
             tuple(index[unit(x)] for x in range(term_count)),
             table,
             tuple(index[inverse(k)] for k in keys),
-            range(len(keys)) if cell is None else tuple(index[cell(k)] for k in keys),
+            range(len(keys)) if cell is None else _least(map(cell, keys)),
         )
     except KeyError:
         raise AssertionError("presented level is not closed; construction bug") from None
 
 
 def _units_first(level: _Level) -> tuple[_Level, dict[int, int]]:
-    """Permute a level's ids so the units come first, in term order, and
-    label each cell with its least new id, since the least member of a
-    class may change.  Returns the level and the old-to-new id map."""
-    n = len(level.src)
-    units = set(level.unit)
-    order = list(dict.fromkeys(level.unit)) + [i for i in range(n) if i not in units]
+    """Permute a level's ids so the units come first, in term order, label
+    each cell with its least new id, and insert the composition rows in id
+    order, as `_presented` fills them.  Returns the level and the
+    old-to-new id map."""
+    order = _units_then(level.unit, range(len(level.src)))
     new = {old: i for i, old in enumerate(order)}
-    cell = range(n)  # singleton cells, as `_paths` gives them, stay singletons
-    if not isinstance(level.cell, range):
-        members: dict[int, list[int]] = {}
-        for old in range(n):
-            members.setdefault(level.cell[old], []).append(new[old])
-        labels = [0] * n
-        for ids in members.values():
-            least = min(ids)
-            for i in ids:
-                labels[i] = least
-        cell = tuple(labels)
     permuted = level._replace(
         src=tuple(level.src[i] for i in order),
         dst=tuple(level.dst[i] for i in order),
         unit=tuple(new[level.unit[x]] for x in range(level.term_count)),
-        table={(new[p], new[q]): new[r] for (p, q), r in level.table.items()},
+        table=dict(sorted(((new[p], new[q]), new[r]) for (p, q), r in level.table.items())),
         inv=tuple(new[level.inv[i]] for i in order),
-        cell=cell,
+        # singleton cells, as `_paths` gives them, stay singletons
+        cell=level.cell if isinstance(level.cell, range) else _least(level.cell[i] for i in order),
     )
     return permuted, new
 
@@ -200,9 +210,9 @@ def equality_typoid(g: FiniteGroupoid, name: str = "eq") -> Typoid:
 
 def _equality(g: FiniteGroupoid, name: str) -> Typoid:
     """The equality typoid of a valid groupoid, in canonical id layout."""
-    t = Typoid(name=name, base=g, layer=_layer(_paths(g)), idtoeqv=tuple(range(g.path_count)))
-    out, _, _ = _renumber(t)
-    return out
+    if not _canonical(g.term_count, g.refl):
+        g = _groupoid(_units_first(_paths(g))[0])
+    return Typoid(name=name, base=g, layer=_layer(_paths(g)), idtoeqv=tuple(range(g.path_count)))
 
 
 def unit_typoid(name: str = "unit") -> Typoid:
@@ -235,62 +245,43 @@ class ProductProvenance:
     split_path: tuple[tuple[int, int], ...]
 
 
-def _pairs(col1, col2, n2: int) -> tuple[int, ...]:
-    """The pair (i, j) numbered i * n2 + j, for i in col1 and j in col2."""
-    return tuple(i * n2 + j for i in col1 for j in col2)
-
-
-def _pair(l1: _Level, l2: _Level) -> _Level:
-    """The product of two levels: terms, ids, units, composites, inverses
-    and cells are pairs."""
-    t2, n2 = l2.term_count, len(l2.src)
-    return l1._replace(
-        term_count=l1.term_count * t2,
-        src=_pairs(l1.src, l2.src, t2),
-        dst=_pairs(l1.dst, l2.dst, t2),
-        unit=_pairs(l1.unit, l2.unit, n2),
-        table={
-            (p1 * n2 + p2, q1 * n2 + q2): r1 * n2 + r2
-            for (p1, q1), r1 in l1.table.items()
-            for (p2, q2), r2 in l2.table.items()
-        },
-        inv=_pairs(l1.inv, l2.inv, n2),
-        # the least pair in a product class is the pair of least members;
-        # pairs of singleton cells are singletons
-        cell=range(len(l1.src) * n2) if isinstance(l1.cell, range) else _pairs(l1.cell, l2.cell, n2),
+def _pair(l1: _Level, l2: _Level) -> tuple[_Level, tuple[tuple[int, int], ...]]:
+    """The product of two levels and its keys: pairs of ids, the unit pairs
+    first, then the others in lexicographic order.  Term (x, y) is
+    x * l2.term_count + y."""
+    t2 = l2.term_count
+    table1, table2 = l1.table, l2.table
+    keys = _units_then(
+        itertools.product(l1.unit, l2.unit), itertools.product(range(len(l1.src)), range(len(l2.src)))
     )
-
-
-def _pairing(
-    n1: int, n2: int, new: dict[int, int]
-) -> tuple[dict[tuple[int, int], int], tuple[tuple[int, int], ...]]:
-    """The pairing table of a product level, sending (i, j) to its
-    renumbered id, and the splitting table that inverts it."""
-    pair = {(i, j): new[i * n2 + j] for i in range(n1) for j in range(n2)}
-    split = [(0, 0)] * (n1 * n2)
-    for ij, k in pair.items():
-        split[k] = ij
-    return pair, tuple(split)
+    level = _presented(
+        keys,
+        ends=lambda k: (l1.src[k[0]] * t2 + l2.src[k[1]], l1.dst[k[0]] * t2 + l2.dst[k[1]]),
+        compose=lambda k, m: (table1[(k[0], m[0])], table2[(k[1], m[1])]),
+        inverse=lambda k: (l1.inv[k[0]], l2.inv[k[1]]),
+        unit=lambda z: (l1.unit[z // t2], l2.unit[z % t2]),
+        term_count=l1.term_count * t2,
+        # pairs of singleton cells are singletons
+        cell=None if isinstance(l1.cell, range) else lambda k: (l1.cell[k[0]], l2.cell[k[1]]),
+    )
+    return level, keys
 
 
 def product_typoid(a: Typoid, b: Typoid, name: str | None = None) -> tuple[Typoid, ProductProvenance]:
-    """Componentwise product: terms, paths, edges and cells are pairs."""
+    """Componentwise product: terms, paths, edges and cells are pairs.  The
+    splitting tables are the keys; the pairing tables invert them."""
     _require_valid_typoid(a)
     _require_valid_typoid(b)
-    eb = b.layer.edge_count
+    paths, split_path = _pair(_paths(a.base), _paths(b.base))
+    edges, split_edge = _pair(_edges(a.layer), _edges(b.layer))
+    pair_path, pair_edge = (dict(sorted(zip(split, itertools.count()))) for split in (split_path, split_edge))
     product = Typoid(
         name=name or f"{a.name}_x_{b.name}",
-        base=_groupoid(_pair(_paths(a.base), _paths(b.base))),
-        layer=_layer(_pair(_edges(a.layer), _edges(b.layer))),
-        idtoeqv=_pairs(a.idtoeqv, b.idtoeqv, eb),
+        base=_groupoid(paths),
+        layer=_layer(edges),
+        idtoeqv=tuple(pair_edge[(a.idtoeqv[p1], b.idtoeqv[p2])] for p1, p2 in split_path),
     )
-    out, pmap, emap = _renumber(product)
-    pair_path, split_path = _pairing(a.base.path_count, b.base.path_count, pmap)
-    pair_edge, split_edge = _pairing(a.layer.edge_count, eb, emap)
-    prov = ProductProvenance(
-        factors=(a, b), pair_edge=pair_edge, split_edge=split_edge, pair_path=pair_path, split_path=split_path
-    )
-    return out, prov
+    return product, ProductProvenance((a, b), pair_edge, split_edge, pair_path, split_path)
 
 
 def _check_provenance(p: Typoid, prov: ProductProvenance) -> None:
@@ -420,11 +411,10 @@ def univalent_completion(t: Typoid, name: str | None = None) -> Typoid:
     """Replace the base groupoid with the quotient of the edge layer by its
     cells; the result is univalent by construction."""
     _require_valid_typoid(t)
-    base, idtoeqv = _completion_base(t.layer)
-    out, _, _ = _renumber(
-        Typoid(name=name or f"{t.name}_c", base=base, layer=t.layer, idtoeqv=idtoeqv)
-    )
-    return out
+    # a base grown from a layer in canonical layout is in canonical layout
+    layer = _layer(_units_first(_edges(t.layer))[0])
+    base, idtoeqv = _completion_base(layer)
+    return Typoid(name=name or f"{t.name}_c", base=base, layer=layer, idtoeqv=idtoeqv)
 
 
 # ---------------------------------------------------------------------------
@@ -534,22 +524,25 @@ def exponential_typoid(
                     )
                 families.append((i, j, theta))
 
+    # the unit families come first, in term order, so the layer and the
+    # base grown from it are in canonical layout
     beqv, beinv = b.layer.eqv, b.layer.einv
+    units = [(i, i, tuple(beqv[y] for y in m.term_map)) for i, m in enumerate(terms)]
+    families = _units_then(units, families)
     layer = _layer(
         _presented(
             families,
             ends=lambda fam: fam[:2],
             compose=lambda f1, f2: (f1[0], f2[1], tuple(map(bstar.__getitem__, zip(f1[2], f2[2])))),
             inverse=lambda fam: (fam[1], fam[0], tuple(beinv[x] for x in fam[2])),
-            unit=lambda i: (i, i, tuple(beqv[y] for y in terms[i].term_map)),
+            unit=units.__getitem__,
             term_count=len(terms),
             cell=lambda fam: (fam[0], fam[1], tuple(bcell[x] for x in fam[2])),
         )
     )
     base, idtoeqv = _completion_base(layer)
-    out, _, emap = _renumber(Typoid(name=name, base=base, layer=layer, idtoeqv=idtoeqv))
-    edges = tuple(ExponentialEdge(*families[old]) for old in sorted(emap, key=emap.__getitem__))
-    return out, ExponentialProvenance(source=a, target=b, terms=tuple(terms), edges=edges)
+    edges = tuple(ExponentialEdge(*fam) for fam in families)
+    return Typoid(name, base, layer, idtoeqv), ExponentialProvenance(a, b, tuple(terms), edges)
 
 
 # ---------------------------------------------------------------------------
@@ -589,12 +582,13 @@ def universe_typoid(
         if ni == nj
         for perm in itertools.permutations(range(ni))
     ]
+    identities = [(i, i, tuple(range(n))) for i, n in enumerate(sets)]
     paths = _presented(
-        perms,
+        _units_then(identities, perms),
         ends=lambda p: p[:2],
         compose=lambda p, q: (p[0], q[1], tuple(q[2][x] for x in p[2])),
         inverse=lambda p: (p[1], p[0], tuple(sorted(range(len(p[2])), key=p[2].__getitem__))),
-        unit=lambda i: (i, i, tuple(range(sets[i]))),
+        unit=identities.__getitem__,
         term_count=len(sets),
     )
     return _equality(_groupoid(paths), name)

@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 from itertools import islice
 from typing import NamedTuple
 
-from .constructions import _renumber
+from .constructions import _canonical, _renumber
 from .model import (
     _EDGE_WORDS,
     _PATH_WORDS,
@@ -841,9 +841,7 @@ def document_for(
     entries: list[TypoidEntry | MorphismEntry] = []
     by_structure: list[tuple[Typoid, str]] = []
     for t in typoids:
-        if tuple(t.base.refl) != tuple(range(t.term_count)) or tuple(t.layer.eqv) != tuple(
-            range(t.term_count)
-        ):
+        if not _canonical(t.term_count, t.base.refl, t.layer.eqv):
             t, _, _ = _renumber(t)
         term_names = tuple(f"t{x}" for x in range(t.term_count))
         path_names = tuple(
@@ -899,7 +897,7 @@ def _serialize_typoid(entry: TypoidEntry) -> str:
     t = entry.typoid
     base, layer = t.base, t.layer
     n = t.term_count
-    if tuple(base.refl) != tuple(range(n)) or tuple(layer.eqv) != tuple(range(n)):
+    if not _canonical(n, base.refl, layer.eqv):
         raise ValueError(f"typoid {t.name!r} is not in canonical id layout; use document_for")
     tn, pn, en = entry.term_names, entry.path_names, entry.edge_names
     lines = [f"typoid {t.name} {{"]

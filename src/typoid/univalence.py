@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .constructions import _check_provenance
 from .model import Budget, Typoid, ValidationReport, Violation, _constant_on_cells, validate_typoid
 from .morphisms import TypoidMorphism
 
@@ -247,6 +248,7 @@ def check_pointed_factors(
     with no terms and no supplied point is reported inapplicable.  Points
     default to term 0 when the opposite factor is inhabited.
     """
+    _check_provenance(prod, prov)
     cert = check_univalence(prod)
     if isinstance(cert, NotUnivalent):
         raise NotUnivalentError(cert)

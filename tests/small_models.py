@@ -161,6 +161,19 @@ def small_groupoids(max_terms: int, max_hom: int) -> tuple[FiniteGroupoid, ...]:
     return tuple(out)
 
 
+def permuted(g: FiniteGroupoid, order) -> FiniteGroupoid:
+    """g with its paths renumbered: path order[i] becomes path i."""
+    new = {old: i for i, old in enumerate(order)}
+    return FiniteGroupoid(
+        term_count=g.term_count,
+        path_src=tuple(g.path_src[p] for p in order),
+        path_dst=tuple(g.path_dst[p] for p in order),
+        refl=tuple(new[p] for p in g.refl),
+        comp={(new[p], new[q]): new[r] for (p, q), r in g.comp.items()},
+        inv=tuple(new[g.inv[p]] for p in order),
+    )
+
+
 # ---------------------------------------------------------------------------
 # layers over a quotient structure
 

@@ -367,11 +367,19 @@ def test_validate_spends_one_budget_across_the_file(tmp_path, capsys, monkeypatc
 def test_induce_rejects_unknown_source_names(tmp_path, capsys):
     f = tmp_path / "ab.typoid"
     f.write_text(AB)
-    for flags, message in (
-        (["--map", "x:x,zz:x", "--path-map", "p:p"], "--map names unknown term 'zz'"),
-        (["--map", "x:x", "--path-map", "p:p,nope:p"], "--path-map names unknown path 'nope'"),
+    for command, flags, message in (
+        ("induce", ["--map", "x:x,zz:x", "--path-map", "p:p"], "--map names unknown term 'zz'"),
+        ("induce", ["--map", "x:x", "--path-map", "p:p,nope:p"], "--path-map names unknown path 'nope'"),
+        # a name assigned twice is refused, not settled by the last assignment
+        ("induce", ["--map", "x:x,x:x", "--path-map", "p:p"], "--map maps term 'x' twice"),
+        ("induce", ["--map", "x:x", "--path-map", "p:p, p :refl_x"], "--path-map maps path 'p' twice"),
+        (
+            "check-fun",
+            ["--map", "x:x", "--path-map", "p:p", "--edge-map", "q:eqv_x,q:q"],
+            "--edge-map maps edge 'q' twice",
+        ),
     ):
-        code, report = run(capsys, "induce", str(f), "--from", "A", "--to", "A", *flags)
+        code, report = run(capsys, command, str(f), "--from", "A", "--to", "A", *flags)
         assert code == 2, flags
         assert report["violations"] == [{"code": "E000", "message": message}]
 

@@ -8,12 +8,12 @@ import time
 import pytest
 
 import typoid as T
-from typoid.constructions import _completion_base
+from typoid.constructions import _completion_base, _renumber
 from typoid.model import FiniteGroupoid
 from typoid.univalence import NotUnivalent, UnivalenceCertificate
 
-from corpus import stock_base, stock_products, stock_truncations
-from small_models import family, naive_completion_base, naive_exponential, naive_product
+from corpus import full_stock, stock_base, stock_products, stock_truncations
+from small_models import family, naive_completion_base, naive_exponential, naive_product, permuted
 from test_morphisms import rich_unit_cell_typoid
 
 
@@ -35,6 +35,13 @@ def test_equality_typoid_rejects_invalid_groupoid():
     broken = FiniteGroupoid(1, (0,), (0,), (0,), {}, (0,))
     with pytest.raises(ValueError):
         T.equality_typoid(broken)
+
+
+def test_equality_typoid_renumbers_a_groupoid_whose_refl_paths_come_late():
+    g = T.codiscrete_groupoid(2)  # refl_0, refl_1, 0 -> 1, 1 -> 0
+    late = permuted(g, (2, 0, 3, 1))
+    assert late.refl == (1, 3)
+    assert repr(T.equality_typoid(late, name="c2")) == repr(T.equality_typoid(g, name="c2"))
 
 
 # -- product ----------------------------------------------------------------
@@ -132,7 +139,8 @@ def test_product_matches_the_table_by_table_reference_on_stock_pairs():
 
 
 def test_product_matches_the_table_by_table_reference_on_family_members():
-    # most family layers are not in canonical layout, so renumbering moves ids
+    # most family layers are not in canonical layout, so the unit pairs are
+    # not the first pairs in lexicographic order
     members = family()
     for a, b in zip(members[::3], members[1::3]):
         assert repr(T.product_typoid(a, b)) == repr(naive_product(a, b)), (a.name, b.name)
@@ -404,6 +412,36 @@ def test_completion_valid_and_univalent_corpus_wide():
         c = T.univalent_completion(t)
         assert T.validate_typoid(c).valid, name
         assert isinstance(T.check_univalence(c), UnivalenceCertificate), name
+
+
+# -- normal form --------------------------------------------------------------
+
+def _in_normal_form(t: T.Typoid) -> bool:
+    # canonical ids, each cell labelled by its least id, composition rows
+    # inserted in id order: renumbering changes nothing, not even dict order
+    return repr(_renumber(t)[0]) == repr(t)
+
+
+def test_constructions_write_the_normal_form():
+    stock = list(full_stock().values())
+    base = list(stock_base().values())
+    small = [*base, *stock_truncations().values()]
+    members = family()
+    family_pairs = list(zip(members[::7], members[1::7]))
+    for t in stock:
+        assert _in_normal_form(T.equality_typoid(t.base, name=t.name)), t.name
+    for t in [*stock, *members[::7]]:
+        assert _in_normal_form(T.univalent_completion(t)), t.name
+    for sets in ([], [0], [2], [1, 2, 2], [3, 3], [2, 3, 2]):
+        assert _in_normal_form(T.universe_typoid(sets)), sets
+    for a, b in [pair for a in stock for b in base for pair in ((a, b), (b, a))] + family_pairs:
+        assert _in_normal_form(T.product_typoid(a, b)[0]), (a.name, b.name)
+    for a, b in [(a, b) for a in small for b in small] + family_pairs:
+        try:
+            exp, _ = T.exponential_typoid(a, b)
+        except T.ResourceLimitError:
+            continue
+        assert _in_normal_form(exp), (a.name, b.name)
 
 
 # -- base predicates ----------------------------------------------------------

@@ -188,6 +188,19 @@ def test_pointed_factors_empty_factor_inapplicable():
     assert report.note_b.startswith("inapplicable")
 
 
+def test_pointed_factors_reject_foreign_provenance():
+    # with each other's provenance, one product raised IndexError and the
+    # other certified the factors of the wrong product
+    d1 = T.equality_typoid(T.discrete_groupoid(1), name="d1")
+    z2 = T.equality_typoid(T.cyclic_groupoid(2), name="z2")
+    d3 = T.equality_typoid(T.discrete_groupoid(3), name="d3")
+    small, small_prov = T.product_typoid(d1, d1)
+    large, large_prov = T.product_typoid(z2, d3)
+    for prod, prov in ((small, large_prov), (large, small_prov)):
+        with pytest.raises(ValueError, match="provenance does not describe this product"):
+            T.check_pointed_factors(prod, prov)
+
+
 def test_pointed_factors_requires_univalent_product():
     two = T.twoedge_typoid()
     prod, prov = T.product_typoid(two, T.unit_typoid())

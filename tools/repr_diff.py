@@ -7,18 +7,21 @@ its own, with the stock structures of `tests/corpus.py` and the enumerated
 `family()` of `tests/small_models.py` as inputs:
 
 - the base groupoid generators and `universe_typoid` on small sizes;
+- `equality_typoid` on every `small_groupoids(2, 2)` member with its path
+  ids reversed, so the refl paths no longer come first;
 - `truncate`, `univalent_completion` and `_completion_base` on every stock
   and `family()` structure;
 - `product_typoid` on every ordered pair of the base stock and its
   truncations, and on every third `family()` member with the next;
-- `exponential_typoid` on the same stock pairs and on the equality typoids
-  of codiscrete(k) into discrete(4).
+- `exponential_typoid` on the same stock pairs, on every seventh
+  `family()` member with the next (most of them refused by the default
+  limits) and on the equality typoids of codiscrete(k) into discrete(4).
 
 Each output (or the exception it raised) is digested twice: by its `repr`,
 and by the `repr` of a copy whose dicts are sorted.  Prints, per
 construction, how many outputs are identical, equal up to dict order and
 different; then exits 1 naming the first output that differs beyond dict
-order, or 0.
+order, or 0.  Takes about 45 s.
 """
 
 from __future__ import annotations
@@ -62,6 +65,9 @@ def outputs(T, corpus, small_models):
         yield "cyclic_groupoid", str(n), lambda n=n: T.cyclic_groupoid(n)
     for sets in ([], [0], [1, 1], [2], [2, 2], [3], [1, 2, 2], [3, 3], [4, 4], [2, 3, 2]):
         yield "universe_typoid", str(sets), lambda sets=sets: T.universe_typoid(sets)
+    for i, g in enumerate(small_models.small_groupoids(2, 2)):
+        reversed_ids = small_models.permuted(g, range(g.path_count - 1, -1, -1))
+        yield "equality_typoid", f"reversed small_groupoids[{i}]", lambda g=reversed_ids: T.equality_typoid(g)
     for label, t in inputs:
         yield "truncate", label, lambda t=t: T.truncate(t)
         yield "univalent_completion", label, lambda t=t: T.univalent_completion(t)
@@ -77,7 +83,10 @@ def outputs(T, corpus, small_models):
         (f"eq(codiscrete {k}) -> eq(discrete 4)", T.equality_typoid(T.codiscrete_groupoid(k)), disc4)
         for k in range(6)
     ]
-    for label, a, b in stock_pairs + codiscrete:
+    family_exponentials = [
+        (f"family[{i}] -> family[{i + 1}]", family[i], family[i + 1]) for i in range(0, len(family) - 1, 7)
+    ]
+    for label, a, b in stock_pairs + family_exponentials + codiscrete:
         yield "exponential_typoid", label, lambda a=a, b=b: T.exponential_typoid(a, b)
 
 
