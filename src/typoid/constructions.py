@@ -285,13 +285,22 @@ def product_typoid(a: Typoid, b: Typoid, name: str | None = None) -> tuple[Typoi
 
 
 def _check_provenance(p: Typoid, prov: ProductProvenance) -> None:
+    """Refuse a provenance that is not p's: each split pair must name
+    factor ids whose endpoints, as product terms x * |B| + y, are those of
+    the product id it splits."""
     a, b = prov.factors
-    if (
-        p.term_count != a.term_count * b.term_count
-        or len(prov.split_path) != p.base.path_count
-        or len(prov.split_edge) != p.layer.edge_count
+    tb = b.term_count
+    for split, level, l1, l2 in (
+        (prov.split_path, _paths(p.base), _paths(a.base), _paths(b.base)),
+        (prov.split_edge, _edges(p.layer), _edges(a.layer), _edges(b.layer)),
     ):
-        raise ValueError("provenance does not describe this product")
+        if p.term_count != a.term_count * tb or len(split) != len(level.src) or not all(
+            0 <= i < len(l1.src)
+            and 0 <= j < len(l2.src)
+            and (level.src[k], level.dst[k]) == (l1.src[i] * tb + l2.src[j], l1.dst[i] * tb + l2.dst[j])
+            for k, (i, j) in enumerate(split)
+        ):
+            raise ValueError("provenance does not describe this product")
 
 
 def projections(p: Typoid, prov: ProductProvenance) -> tuple[TypoidMorphism, TypoidMorphism]:

@@ -257,31 +257,26 @@ def _table_rows(
     violations: list[Violation],
 ) -> list[dict[int, int]]:
     """Split a composition table into rows: rows[p][q] = table[p, q] for each
-    composable pair whose entry is in range with the right endpoints, in
-    ascending q.  Missing, stray and malformed entries are Bookkeeping
-    violations."""
+    composable pair whose entry is in range with the right endpoints.
+    Missing, stray and malformed entries are Bookkeeping violations."""
     n = len(src)
-    rows: list[dict[int, int]] = []
-    for p in range(n):
-        row: dict[int, int] = {}
-        for q in out[dst[p]]:
-            pair = (p, q)
-            r = table.get(pair)
-            if r is None:
-                violations.append(
-                    Violation("Bookkeeping", pair, f"{name} entry missing for composable pair {pair}")
-                )
-            elif not 0 <= r < n:
-                violations.append(Violation("Bookkeeping", pair, f"{name}{pair} = {r} is out of range"))
-            elif (src[r], dst[r]) != (src[p], dst[q]):
-                violations.append(Violation("Bookkeeping", pair, f"{name}{pair} = {r} has wrong endpoints"))
-            else:
-                row[q] = r
-        rows.append(row)
-    for pair in table:
-        p, q = pair
+    rows: list[dict[int, int]] = [{} for _ in range(n)]
+    for (p, q), r in table.items():
         if not (0 <= p < n and 0 <= q < n and dst[p] == src[q]):
-            violations.append(Violation("Bookkeeping", pair, f"{name} entry {pair} is not a composable pair"))
+            violations.append(Violation("Bookkeeping", (p, q), f"{name} entry {(p, q)} is not a composable pair"))
+        elif not 0 <= r < n:
+            violations.append(Violation("Bookkeeping", (p, q), f"{name}{(p, q)} = {r} is out of range"))
+        elif src[r] != src[p] or dst[r] != dst[q]:
+            violations.append(Violation("Bookkeeping", (p, q), f"{name}{(p, q)} = {r} has wrong endpoints"))
+        else:
+            rows[p][q] = r
+    for p, row in enumerate(rows):
+        if len(row) < len(out[dst[p]]):
+            for q in out[dst[p]]:
+                if q not in row and (p, q) not in table:
+                    violations.append(
+                        Violation("Bookkeeping", (p, q), f"{name} entry missing for composable pair {(p, q)}")
+                    )
     return rows
 
 

@@ -72,7 +72,7 @@ def validate_morphism(
                 violations.append(
                     Violation("ApFunctor", (x,), f"refl of term {x} must map to refl of its image")
                 )
-        for (p, q), pq in sorted(src.base.comp.items()):
+        for (p, q), pq in src.base.comp.items():
             image = dst.base.comp.get((m.path_map[p], m.path_map[q]))
             ap += 1
             if image is None or m.path_map[pq] != image:
@@ -93,7 +93,7 @@ def validate_morphism(
     counts["UnitPres"] = unit
 
     comp = 0
-    for (e1, e2), e12 in sorted(src.layer.star.items()):
+    for (e1, e2), e12 in src.layer.star.items():
         image = dst.layer.star.get((m.edge_map[e1], m.edge_map[e2]))
         if image is None:
             continue

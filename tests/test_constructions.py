@@ -153,6 +153,22 @@ def test_projections_reject_foreign_provenance():
         T.projections(prod, other_prov)
 
 
+def test_same_size_products_reject_each_others_provenance():
+    # both products have 2 terms, 4 paths and 4 edges, so only the split
+    # tables' endpoints tell the provenances apart
+    eq = T.equality_typoid
+    first = T.product_typoid(eq(T.cyclic_groupoid(2)), eq(T.discrete_groupoid(2)))
+    second = T.product_typoid(eq(T.codiscrete_groupoid(2)), T.unit_typoid())
+    for (prod, _), (other, other_prov) in ((first, second), (second, first)):
+        f, g = T.projections(other, other_prov)
+        with pytest.raises(ValueError, match="provenance does not describe this product"):
+            T.projections(prod, other_prov)
+        with pytest.raises(ValueError, match="provenance does not describe this product"):
+            T.pairing(f, g, prod, other_prov)
+        with pytest.raises(ValueError, match="provenance does not describe this product"):
+            T.check_pointed_factors(prod, other_prov)
+
+
 # -- truncation ---------------------------------------------------------------
 
 def test_truncate_unit_is_unit():
