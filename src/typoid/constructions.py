@@ -9,6 +9,8 @@ edges are ids 0..term_count-1 in term order, each cell is labelled by its
 least id), with composition rows inserted in id order.  The serializer
 relies on the ids.  `equality_typoid` and `truncate` keep a canonical base
 as given, so they keep the form when their input's base has it.
+`_presented` asks for composition a row at a time, so each construction
+composes whole rows with `zip` and `map`, not one Python call per pair.
 """
 
 from __future__ import annotations
@@ -66,23 +68,23 @@ def _canonical(term_count: int, *units) -> bool:
 
 
 def _presented(keys, ends, compose, inverse, unit, term_count: int, cell=None) -> _Level:
-    """The level whose ids number `keys` in order.  `ends(k)` gives the
-    terms key k joins; `compose(k1, k2)`, `inverse(k)` and `unit(x)` give
-    keys, and `cell(k)` names k's class by any hashable value.  Composition
-    rows are filled over composable pairs in id order, and each cell is
-    labelled by its least id.  Without `cell` each key is a cell of its
+    """The level whose ids number the sequence `keys` in order.  `ends(k)`
+    gives the terms key k joins; `inverse(k)` and `unit(x)` give keys, and
+    `cell(k)` names k's class by any hashable value.  Composition is asked
+    for a row at a time: `compose(k, out)` gives, in order, the composites
+    of k with each key of `out`, the keys leaving k's end in id order (one
+    shared sequence per term).  Rows are filled in id order, and each cell
+    is labelled by its least id.  Without `cell` each key is a cell of its
     own.  Keys that start with the units, in term order, give a level in
     canonical layout."""
     try:
         index = {k: i for i, k in enumerate(keys)}
-        joined = [ends(k) for k in keys]
-        src = tuple(x for x, _ in joined)
-        dst = tuple(y for _, y in joined)
+        src, dst = tuple(zip(*map(ends, keys))) or ((), ())
         leaving = _out_index(src, term_count)
+        out = [tuple(map(keys.__getitem__, ids)) for ids in leaving]
         table = {}
-        for i, k in enumerate(keys):
-            for j in leaving[dst[i]]:
-                table[(i, j)] = index[compose(k, keys[j])]
+        for i, (k, y) in enumerate(zip(keys, dst)):
+            table.update(zip(zip(itertools.repeat(i), leaving[y]), map(index.__getitem__, compose(k, out[y]))))
         return _Level(
             _PATH_WORDS if cell is None else _EDGE_WORDS,
             term_count,
@@ -146,7 +148,7 @@ def discrete_groupoid(n: int) -> FiniteGroupoid:
     paths = _presented(
         range(n),
         ends=lambda x: (x, x),
-        compose=lambda x, _: x,
+        compose=lambda _, out: out,  # x is the one path leaving x, and x·x = x
         inverse=lambda x: x,
         unit=lambda x: x,
         term_count=n,
@@ -160,7 +162,7 @@ def codiscrete_groupoid(n: int) -> FiniteGroupoid:
     paths = _presented(
         pairs,
         ends=lambda xy: xy,
-        compose=lambda xy, yz: (xy[0], yz[1]),
+        compose=lambda xy, out: [(xy[0], z) for _, z in out],
         inverse=lambda xy: xy[::-1],
         unit=lambda x: (x, x),
         term_count=n,
@@ -175,7 +177,7 @@ def cyclic_groupoid(n: int) -> FiniteGroupoid:
     paths = _presented(
         range(n),
         ends=lambda _: (0, 0),
-        compose=lambda i, j: (i + j) % n,
+        compose=lambda i, out: [(i + j) % n for j in out],
         inverse=lambda i: -i % n,
         unit=lambda _: 0,
         term_count=1,
@@ -257,7 +259,7 @@ def _pair(l1: _Level, l2: _Level) -> tuple[_Level, tuple[tuple[int, int], ...]]:
     level = _presented(
         keys,
         ends=lambda k: (l1.src[k[0]] * t2 + l2.src[k[1]], l1.dst[k[0]] * t2 + l2.dst[k[1]]),
-        compose=lambda k, m: (table1[(k[0], m[0])], table2[(k[1], m[1])]),
+        compose=lambda k, out: [(table1[k[0], m1], table2[k[1], m2]) for m1, m2 in out],
         inverse=lambda k: (l1.inv[k[0]], l2.inv[k[1]]),
         unit=lambda z: (l1.unit[z // t2], l2.unit[z % t2]),
         term_count=l1.term_count * t2,
@@ -400,12 +402,16 @@ def morphism_into_truncation(
 def _completion_base(layer: EquivalenceLayer) -> tuple[FiniteGroupoid, tuple[int, ...]]:
     """A strict groupoid on the cell classes of a layer, with the table
     sending each class to its designated or representative edge."""
-    reps = sorted(layer.class_members)
     cell, star = layer.cell, layer.star
+    if cell == tuple(range(layer.edge_count)):
+        # singleton cells, so `cell` is the identity: the layer is its own base, star in id-pair order
+        base = _edges(layer)._replace(table=star if list(star) == sorted(star) else dict(sorted(star.items())))
+        return _groupoid(base), cell
+    reps = sorted(layer.class_members)
     paths = _presented(
         reps,
         ends=lambda r: (layer.edge_src[r], layer.edge_dst[r]),
-        compose=lambda r1, r2: cell[star[(r1, r2)]],
+        compose=lambda r1, out: [cell[star[(r1, r2)]] for r2 in out],
         inverse=lambda r: cell[layer.einv[r]],
         unit=lambda x: cell[layer.eqv[x]],
         term_count=layer.term_count,
@@ -515,7 +521,7 @@ def exponential_typoid(
 
     # the families: one search position per term of a; the square over each
     # edge of a commutes up to cells once both of its ends are chosen
-    families: list[tuple[int, int, tuple[int, ...]]] = []  # (src term, dst term, theta)
+    families: list[tuple[int, ...]] = []  # (src term, dst term, *theta)
     for i, fm in enumerate(terms):
         for j, gm in enumerate(terms):
             options = [b.layer.hom(fm.term_map[x], gm.term_map[x]) for x in range(a.term_count)]
@@ -531,26 +537,35 @@ def exponential_typoid(
                     raise ResourceLimitError(
                         "max-edges", f"more than {limits.max_edges} edge families"
                     )
-                families.append((i, j, theta))
+                families.append((i, j, *theta))
 
     # the unit families come first, in term order, so the layer and the
     # base grown from it are in canonical layout
     beqv, beinv = b.layer.eqv, b.layer.einv
-    units = [(i, i, tuple(beqv[y] for y in m.term_map)) for i, m in enumerate(terms)]
+    units = [(i, i, *map(beqv.__getitem__, m.term_map)) for i, m in enumerate(terms)]
     families = _units_then(units, families)
+    # a row of composites f1 * f2 at once: pointwise through the rows of
+    # b's star (brow[e1][e2] = e12), down the columns of the f2s in `out`
+    bout = _out_index(b.layer.edge_src, b.term_count)
+    brow = [{e2: bstar[e1, e2] for e2 in bout[y]} for e1, y in enumerate(b.layer.edge_dst)]
+
+    def compose(f1, out):
+        _, heads, *thetas = zip(*out)
+        return zip(itertools.repeat(f1[0]), heads, *map(map, (brow[e].__getitem__ for e in f1[2:]), thetas))
+
     layer = _layer(
         _presented(
             families,
             ends=lambda fam: fam[:2],
-            compose=lambda f1, f2: (f1[0], f2[1], tuple(map(bstar.__getitem__, zip(f1[2], f2[2])))),
-            inverse=lambda fam: (fam[1], fam[0], tuple(beinv[x] for x in fam[2])),
+            compose=compose,
+            inverse=lambda fam: (fam[1], fam[0], *map(beinv.__getitem__, fam[2:])),
             unit=units.__getitem__,
             term_count=len(terms),
-            cell=lambda fam: (fam[0], fam[1], tuple(bcell[x] for x in fam[2])),
+            cell=lambda fam: (*fam[:2], *map(bcell.__getitem__, fam[2:])),
         )
     )
     base, idtoeqv = _completion_base(layer)
-    edges = tuple(ExponentialEdge(*fam) for fam in families)
+    edges = tuple(ExponentialEdge(fam[0], fam[1], fam[2:]) for fam in families)
     return Typoid(name, base, layer, idtoeqv), ExponentialProvenance(a, b, tuple(terms), edges)
 
 
@@ -595,7 +610,7 @@ def universe_typoid(
     paths = _presented(
         _units_then(identities, perms),
         ends=lambda p: p[:2],
-        compose=lambda p, q: (p[0], q[1], tuple(q[2][x] for x in p[2])),
+        compose=lambda p, out: [(p[0], q[1], tuple(map(q[2].__getitem__, p[2]))) for q in out],
         inverse=lambda p: (p[1], p[0], tuple(sorted(range(len(p[2])), key=p[2].__getitem__))),
         unit=identities.__getitem__,
         term_count=len(sets),

@@ -3,12 +3,13 @@ universe, and completion."""
 
 from __future__ import annotations
 
+import dataclasses
 import time
 
 import pytest
 
 import typoid as T
-from typoid.constructions import _completion_base, _renumber
+from typoid.constructions import _completion_base, _presented, _renumber
 from typoid.model import FiniteGroupoid
 from typoid.univalence import NotUnivalent, UnivalenceCertificate
 
@@ -365,6 +366,31 @@ def test_exponential_limit_on_a_large_pair_raises_at_once():
 def test_completion_base_matches_brute_force_on_family_layers():
     for t in family():
         assert repr(_completion_base(t.layer)) == repr(naive_completion_base(t.layer)), t.name
+
+
+def test_completion_base_of_singleton_cells_orders_star_by_id_pair():
+    # a singleton-cell layer is its own base, but comp is written in id
+    # order whatever order star was inserted in
+    for g in (T.codiscrete_groupoid(3), T.cyclic_groupoid(4)):
+        layer = T.equality_typoid(g).layer
+        assert layer.cell == tuple(range(layer.edge_count))
+        reversed_star = dataclasses.replace(layer, star=dict(reversed(layer.star.items())))
+        for lay in (layer, reversed_star):
+            assert repr(_completion_base(lay)) == repr(naive_completion_base(lay))
+        assert list(_completion_base(reversed_star)[0].comp) == sorted(layer.star)
+
+
+def test_presented_refuses_a_composite_outside_its_keys():
+    # Z3's composition over the keys 0 and 1 only: 1 + 1 = 2 is no key
+    with pytest.raises(AssertionError, match="^presented level is not closed; construction bug$"):
+        _presented(
+            range(2),
+            ends=lambda _: (0, 0),
+            compose=lambda i, out: [(i + j) % 3 for j in out],
+            inverse=lambda i: -i % 2,
+            unit=lambda _: 0,
+            term_count=1,
+        )
 
 
 # -- universe -----------------------------------------------------------------

@@ -26,10 +26,12 @@ violations, `law_counts` in order, `Budget.spent`, and the outcome at each
 of LIMITS.  About 35 s on two cores.
 
 outputs: the generators and every construction on small sizes, the stock
-and `family()` structures and pairs of them.  Parts: the `repr` of each
-output (or raised exception), and that of a copy with sorted dicts; a row
-whose sorted copies agree is equal up to dict order, not different.
-About 8 s on two cores.
+and `family()` structures and pairs of them, and exponentials at the
+`construct` workload's limits (the default limits refuse most family
+pairs), into `twoedge_typoid` and into a fat cell among them.  Parts: the
+`repr` of each output (or raised exception), and that of a copy with
+sorted dicts; a row whose sorted copies agree is equal up to dict order,
+not different.  About 30 s on two cores.
 """
 
 from __future__ import annotations
@@ -273,6 +275,25 @@ def outputs(T, corpus, small_models):
     ]
     for label, a, b in stock_pairs + family_exponentials + codiscrete:
         yield "exponential_typoid", label, lambda a=a, b=b: T.exponential_typoid(a, b)
+    eq = T.equality_typoid
+    cod3, twoedge = eq(T.codiscrete_groupoid(3)), T.twoedge_typoid()
+    fat = next(t for t in family if len(t.layer.class_members) < t.layer.edge_count)
+    sources = {
+        "eq(Z2)": eq(T.cyclic_groupoid(2)),
+        "eq(codiscrete 2)": eq(T.codiscrete_groupoid(2)),
+        "eq(codiscrete 3)": cod3,
+        "twoedge": twoedge,
+        fat.name: fat,
+    }
+    targets = {"twoedge": twoedge, f"{fat.name} (a fat cell)": fat}
+    wide = [
+        ("eq(codiscrete 3) -> eq(codiscrete 3)", cod3, cod3),
+        ("eq(Z4) -> eq(Z8)", eq(T.cyclic_groupoid(4)), eq(T.cyclic_groupoid(8))),
+        *((f"{na} -> {nb}", a, b) for nb, b in targets.items() for na, a in sources.items()),
+    ]
+    limits = T.ExponentialLimits(max_terms=4096, max_edges=65536)
+    for label, a, b in wide:
+        yield "exponential_typoid at construct limits", label, lambda a=a, b=b: T.exponential_typoid(a, b, limits)
 
 
 def output_rows() -> list:
