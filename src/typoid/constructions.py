@@ -22,6 +22,7 @@ from typing import Mapping
 from .model import (
     _EDGE_WORDS,
     _PATH_WORDS,
+    Budget,
     EquivalenceLayer,
     FiniteGroupoid,
     ResourceLimitError,
@@ -33,7 +34,7 @@ from .model import (
     validate_groupoid,
     validate_typoid,
 )
-from .morphisms import TypoidMorphism, _backtrack, find_path_functor, iter_path_functors
+from .morphisms import TypoidMorphism, _backtrack, _functors, find_path_functor, iter_path_functors
 
 
 # ---------------------------------------------------------------------------
@@ -81,6 +82,9 @@ def _presented(keys, ends, compose, inverse, unit, term_count: int, cell=None) -
         index = {k: i for i, k in enumerate(keys)}
         src, dst = tuple(zip(*map(ends, keys))) or ((), ())
         leaving = _out_index(src, term_count)
+        # validating the level spends at least one instance per composable
+        # pair, so a level the budget cannot pay for is refused unbuilt
+        Budget().spend(sum(len(leaving[y]) for y in dst))
         out = [tuple(map(keys.__getitem__, ids)) for ids in leaving]
         table = {}
         for i, (k, y) in enumerate(zip(keys, dst)):
@@ -479,15 +483,6 @@ def exponential_typoid(
     bstar = b.layer.star
     asrc, adst = a.layer.edge_src, a.layer.edge_dst
 
-    # the edge action: one search position per edge of a; composition is
-    # preserved and cells are respected up to cells of b
-    action_checks = [
-        (max(e1, e2, e12), lambda c, e1=e1, e2=e2, e12=e12: bcell[c[e12]] == bcell[bstar[(c[e1], c[e2])]])
-        for (e1, e2), e12 in a.layer.star.items()
-    ]
-    for m, *mates in a.layer.class_members.values():
-        action_checks += [(e, lambda c, m=m, e=e: bcell[c[e]] == bcell[c[m]]) for e in mates]
-
     # the term maps: one search position per term of a; each path and edge
     # of a needs a nonempty hom-set of b once both of its ends are chosen
     map_checks = [
@@ -495,15 +490,12 @@ def exponential_typoid(
         for hom, src, dst in ((b.base.hom, a.base.path_src, a.base.path_dst), (b.layer.hom, asrc, adst))
         for x, y in dict.fromkeys(zip(src, dst))
     ]
+    # over each term map, every base-path functor and every edge action
     terms: list[TypoidMorphism] = []
+    aedges, bedges = _edges(a.layer), _edges(b.layer)
     for f in _backtrack([range(b.term_count)] * a.term_count, map_checks):
-        options = [b.layer.hom(f[asrc[e]], f[adst[e]]) for e in range(a.layer.edge_count)]
-        checks = action_checks + [
-            (e, lambda c, e=e, unit=bcell[b.layer.eqv[f[x]]]: bcell[c[e]] == unit)
-            for x, e in enumerate(a.layer.eqv)
-        ]
         for ap in iter_path_functors(a.base, b.base, f):
-            for phi in _backtrack(options, checks):
+            for phi in _functors(aedges, bedges, b.layer.hom, f):
                 if len(terms) >= limits.max_terms:
                     raise ResourceLimitError(
                         "max-terms", f"more than {limits.max_terms} morphisms from {a.name!r} to {b.name!r}"

@@ -1,9 +1,10 @@
 """Structure-preserving maps between typoids.
 
-A morphism carries a term map, a strict functor on base paths, and an edge
-map that must preserve units and composition up to cells.  The cell action
-is a property here, not data: parallel edges in one cell must land in one
-cell.
+A morphism maps terms, paths and edges.  On each level, units must land in
+the cell of the image's unit and composites in the cell of the composite
+of the images; on edges, cell-mates must land in one cell.  Paths are the
+level whose cells are singletons, where these laws are strict
+functoriality, so one search and one law loop serve both levels.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .model import Budget, Typoid, ValidationReport, Violation, _constant_on_cells
+from .model import Budget, Typoid, ValidationReport, Violation, _constant_on_cells, _edges, _Level, _paths
 
 
 @dataclass(frozen=True)
@@ -24,14 +25,25 @@ class TypoidMorphism:
     edge_map: tuple[int, ...]
 
 
+# each level's unit law and composition law, each followed by its wording
+_FUNCTOR_LAWS = {
+    "path": ("ApFunctor", "refl of term {0} must map to refl of its image",
+             "ApFunctor", "image of comp({0},{1}) is not the comp of the images"),
+    "edge": ("UnitPres", "image of eqv at term {0} is not in the cell of eqv",
+             "CompPres", "image of star({0},{1}) is not in the cell of the star of the images"),
+}
+
+
 def validate_morphism(
     m: TypoidMorphism, budget: Budget | None = None, check_base: bool = True
 ) -> ValidationReport:
-    """Check endpoint bookkeeping, the base-path functor laws, preservation
-    of units and composition up to cells, and cell-respecting edge action.
+    """Check endpoint bookkeeping, each level's unit and composition laws
+    up to cells (on paths, whose cells are singletons, the strict functor
+    laws `ApFunctor`), and that edge cell-mates map into one cell.  A
+    composite the target lacks breaks the composition law.
 
     Both endpoints are assumed to pass validate_typoid.  `check_base=False`
-    skips the base-path functor checks.
+    skips the path level's laws.
     """
     budget = budget or Budget()
     src, dst = m.source, m.target
@@ -52,68 +64,41 @@ def validate_morphism(
     if violations:
         return ValidationReport.collect(violations, counts)
 
-    for what, table, (from_src, from_dst), (to_src, to_dst) in (
-        ("path", m.path_map, (src.base.path_src, src.base.path_dst), (dst.base.path_src, dst.base.path_dst)),
-        ("edge", m.edge_map, (src.layer.edge_src, src.layer.edge_dst), (dst.layer.edge_src, dst.layer.edge_dst)),
-    ):
+    levels = (
+        (m.path_map, _paths(src.base), _paths(dst.base)),
+        (m.edge_map, _edges(src.layer), _edges(dst.layer)),
+    )
+    for table, s, d in levels:
+        what = s.words.item
         for i, j in enumerate(table):
-            if not 0 <= j < len(to_src):
+            if not 0 <= j < len(d.src):
                 violations.append(Violation("Bookkeeping", (i,), f"{what} {i} maps to out-of-range {what} {j}"))
-            elif (to_src[j], to_dst[j]) != (m.term_map[from_src[i]], m.term_map[from_dst[i]]):
+            elif (d.src[j], d.dst[j]) != (m.term_map[s.src[i]], m.term_map[s.dst[i]]):
                 violations.append(Violation("Bookkeeping", (i, j), f"image of {what} {i} has wrong endpoints"))
     if violations:
         return ValidationReport.collect(violations, counts)
 
-    if check_base:
-        ap = 0
-        for x in range(src.term_count):
-            ap += 1
-            if m.path_map[src.base.refl[x]] != dst.base.refl[m.term_map[x]]:
-                violations.append(
-                    Violation("ApFunctor", (x,), f"refl of term {x} must map to refl of its image")
-                )
-        for (p, q), pq in src.base.comp.items():
-            image = dst.base.comp.get((m.path_map[p], m.path_map[q]))
-            ap += 1
-            if image is None or m.path_map[pq] != image:
-                violations.append(
-                    Violation("ApFunctor", (p, q), f"image of comp({p},{q}) is not the comp of the images")
-                )
-        counts["ApFunctor"] = ap
-        budget.spend(ap)
-
-    dcell = dst.layer.cell
-    unit = 0
-    for x in range(src.term_count):
-        unit += 1
-        if dcell[m.edge_map[src.layer.eqv[x]]] != dcell[dst.layer.eqv[m.term_map[x]]]:
-            violations.append(
-                Violation("UnitPres", (x,), f"image of eqv at term {x} is not in the cell of eqv")
+    for table, s, d in levels[not check_base:]:
+        unit_law, unit_detail, comp_law, comp_detail = _FUNCTOR_LAWS[s.words.item]
+        dcell = d.cell
+        for x, y in enumerate(m.term_map):
+            if dcell[table[s.unit[x]]] != dcell[d.unit[y]]:
+                violations.append(Violation(unit_law, (x,), unit_detail.format(x)))
+        for (p, q), pq in s.table.items():
+            image = d.table.get((table[p], table[q]))
+            if image is None or dcell[table[pq]] != dcell[image]:
+                violations.append(Violation(comp_law, (p, q), comp_detail.format(p, q)))
+        counts[unit_law] = len(m.term_map)
+        counts[comp_law] = counts.get(comp_law, 0) + len(s.table)
+        spent = len(m.term_map) + len(s.table)
+        if s.words.item == "edge":
+            cellp, bad = _constant_on_cells(
+                src.layer, [dcell[e] for e in table], "CellPres", "{0} and {1} share a cell but their images do not"
             )
-    counts["UnitPres"] = unit
-
-    comp = 0
-    for (e1, e2), e12 in src.layer.star.items():
-        image = dst.layer.star.get((m.edge_map[e1], m.edge_map[e2]))
-        if image is None:
-            continue
-        comp += 1
-        if dcell[m.edge_map[e12]] != dcell[image]:
-            violations.append(
-                Violation(
-                    "CompPres",
-                    (e1, e2),
-                    f"image of star({e1},{e2}) is not in the cell of the star of the images",
-                )
-            )
-    counts["CompPres"] = comp
-
-    cellp, bad = _constant_on_cells(
-        src.layer, [dcell[d] for d in m.edge_map], "CellPres", "{0} and {1} share a cell but their images do not"
-    )
-    violations += bad
-    counts["CellPres"] = cellp
-    budget.spend(unit + comp + cellp)
+            violations += bad
+            counts["CellPres"] = cellp
+            spent += cellp
+        budget.spend(spent)
 
     return ValidationReport.collect(violations, counts)
 
@@ -196,9 +181,7 @@ def _backtrack(
     depth-first search that yields each tuple as soon as it is complete.
 
     A check is (k, ok): ok(c) reads positions up to k of the partial choice
-    list c, and runs as soon as position k is fixed.  A fixed value is a
-    position with one option; placed first, the checks that read only fixed
-    values run once, before any free position is tried."""
+    list c, and runs as soon as position k is fixed."""
     n = len(options)
     if not all(options):
         return
@@ -227,27 +210,29 @@ def _backtrack(
             k += 1
 
 
+def _functors(src: _Level, dst: _Level, hom, term_map) -> Iterator[tuple[int, ...]]:
+    """Every map of src's ids to dst's over the term map that sends units
+    into the cell of the image's unit, composites into the cell of the
+    composite of the images, and cell-mates into one cell, in lexicographic
+    order: id i ranges over hom(f(src i), f(dst i)), a unit over its cell."""
+    dcell = dst.cell
+    options = [hom(term_map[x], term_map[y]) for x, y in zip(src.src, src.dst)]
+    for x, u in enumerate(src.unit):
+        unit_cell = dcell[dst.unit[term_map[x]]]
+        options[u] = [q for q in options[u] if dcell[q] == unit_cell]
+    composite_cell = {pq: dcell[r] for pq, r in dst.table.items()}
+    checks = [
+        (max(p, q, pq), lambda c, p=p, q=q, pq=pq: composite_cell.get((c[p], c[q])) == dcell[c[pq]])
+        for (p, q), pq in src.table.items()
+    ]
+    checks += [(max(e, r), lambda c, e=e, r=r: dcell[c[e]] == dcell[c[r]]) for e, r in enumerate(src.cell) if e != r]
+    return _backtrack(options, checks)
+
+
 def iter_path_functors(src, dst, term_map) -> Iterator[tuple[int, ...]]:
     """All strict base-path functors over the given term map, in
-    lexicographic order of the choices for non-refl paths."""
-    refl_image = {src.refl[x]: dst.refl[term_map[x]] for x in range(src.term_count)}
-    free = [p for p in range(src.path_count) if p not in refl_image]
-    options = [(q,) for q in refl_image.values()]
-    for p in free:
-        options.append(dst.hom(term_map[src.path_src[p]], term_map[src.path_dst[p]]))
-    # search positions: the refl paths with their one image, then the free paths
-    order = list(refl_image) + free
-    at = {p: k for k, p in enumerate(order)}
-    comp = dst.comp
-    checks = []
-    for (p, q), pq in src.comp.items():
-        i, j, r = at[p], at[q], at[pq]
-        checks.append((max(i, j, r), lambda c, i=i, j=j, r=r: comp.get((c[i], c[j])) == c[r]))
-    for choice in _backtrack(options, checks):
-        table = [0] * src.path_count
-        for p, q in zip(order, choice):
-            table[p] = q
-        yield tuple(table)
+    lexicographic order: the path level's maps into singleton cells."""
+    yield from _functors(_paths(src), _paths(dst), dst.hom, term_map)
 
 
 def find_path_functor(src, dst, term_map) -> tuple[int, ...]:

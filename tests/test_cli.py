@@ -226,6 +226,19 @@ def test_gen_refuses_sizes_the_budget_cannot_validate(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_a_product_the_budget_cannot_validate_exits_3_before_it_is_built(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("TYPOID_MAX_CHECKS", raising=False)
+    eq = tmp_path / "eq.typoid"
+    assert run(capsys, "gen", "equality", "150", "-o", str(eq))[0] == 0
+    out = tmp_path / "p.typoid"
+    start = time.perf_counter()
+    code, report = run(capsys, "product", str(eq), "eq150", "eq150", "-o", str(out))
+    assert code == 3
+    assert report["violations"][0]["bound"] == "TYPOID_MAX_CHECKS"
+    assert time.perf_counter() - start < 5.0
+    assert not out.exists()
+
+
 def test_json_reports_byte_stable(tmp_path, capsys):
     f = tmp_path / "ab.typoid"
     f.write_text(AB)

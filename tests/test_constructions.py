@@ -343,6 +343,19 @@ def test_exponential_prunes_term_maps_as_soon_as_a_path_has_no_image():
     assert exp.term_count == 4
 
 
+def test_exponential_matches_brute_force_into_fat_unit_cells():
+    # the unit's options are the members of its image unit's cell, not only the unit
+    fam = family()
+    rich = rich_unit_cell_typoid()
+    targets = [rich, fam[2], fam[4]]
+    assert all(len(b.layer.class_members[b.layer.cell[b.layer.eqv[0]]]) > 1 for b in targets)
+    for a in [*stock_base().values(), rich, fam[2], fam[4], fam[7]]:
+        for b in targets:
+            assert _exponential_outcome(T.exponential_typoid, a, b) == _exponential_outcome(
+                naive_exponential, a, b
+            ), (a.name, b.name)
+
+
 def test_exponential_limits_stop_at_the_same_result_as_brute_force():
     base = stock_base()
     pairs = [(base["bool_disc"], base["eq_z2"]), (base["universe2"], base["universe11"]), (base["prop2"], base["bool_disc"])]
@@ -360,6 +373,20 @@ def test_exponential_limit_on_a_large_pair_raises_at_once():
     with pytest.raises(T.ResourceLimitError) as exc:
         T.exponential_typoid(z10, z10, T.ExponentialLimits(max_terms=1))
     assert exc.value.bound == "max-terms"
+    assert time.perf_counter() - start < 5.0
+
+
+def test_a_layer_with_more_composable_pairs_than_the_budget_is_refused_unbuilt(monkeypatch):
+    # eq(codiscrete 2) into one term with a three-edge cell: 81 terms and
+    # 59,049 families, so about 43 million composable pairs
+    monkeypatch.delenv("TYPOID_MAX_CHECKS", raising=False)
+    fat = family()[4]
+    assert (fat.term_count, fat.layer.edge_count, len(fat.layer.class_members)) == (1, 3, 1)
+    a = T.equality_typoid(T.codiscrete_groupoid(2))
+    start = time.perf_counter()
+    with pytest.raises(T.ResourceLimitError) as exc:
+        T.exponential_typoid(a, fat, T.ExponentialLimits(max_terms=4096, max_edges=65536))
+    assert exc.value.bound == "TYPOID_MAX_CHECKS"
     assert time.perf_counter() - start < 5.0
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import time
 
@@ -12,7 +13,7 @@ from typoid.model import EquivalenceLayer, Typoid
 from typoid.morphisms import identity_morphism
 
 from corpus import stock_base, stock_products
-from small_models import naive_path_functors, small_groupoids
+from small_models import naive_path_functors, permuted, small_groupoids
 
 
 def rich_unit_cell_typoid(name: str = "rich") -> Typoid:
@@ -186,7 +187,10 @@ def test_path_functor_enumeration():
 
 def test_path_functors_match_brute_force_on_small_groupoids():
     groupoids = small_groupoids(2, 3)
-    for src in groupoids:
+    # with the ids reversed, each refl path is a late search position with one option
+    late = [permuted(g, range(g.path_count - 1, -1, -1)) for g in groupoids]
+    assert any(g.refl != tuple(range(g.term_count)) for g in late)
+    for src in [*groupoids, *late]:
         for dst in groupoids:
             for term_map in itertools.product(range(dst.term_count), repeat=src.term_count):
                 assert list(T.iter_path_functors(src, dst, term_map)) == list(
@@ -250,3 +254,21 @@ def test_bookkeeping_violations_reported():
     report = T.validate_morphism(m)
     assert not report.valid
     assert all(v.law == "Bookkeeping" for v in report.violations)
+
+
+@pytest.mark.parametrize("part, table, law", [("base", "comp", "ApFunctor"), ("layer", "star", "CompPres")])
+def test_a_composite_missing_from_the_target_is_a_counted_violation(part, table, law):
+    z2 = stock_base()["eq_z2"]
+    level = getattr(z2, part)
+    entries = getattr(level, table)
+    key = max(entries)
+    lacking = {k: v for k, v in entries.items() if k != key}
+    target = dataclasses.replace(z2, **{part: dataclasses.replace(level, **{table: lacking})})
+    m = dataclasses.replace(identity_morphism(z2), target=target)
+    report = T.validate_morphism(m)
+    assert not report.valid
+    assert [(v.law, v.witness) for v in report.violations] == [(law, key)]
+    # one instance per term for the unit law (both are ApFunctor on paths),
+    # one per source composite for the composition law, the missing one included
+    expected = len(entries) + (z2.term_count if law == "ApFunctor" else 0)
+    assert report.law_counts[law] == expected

@@ -31,3 +31,16 @@ def test_library_compiles_without_warnings():
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             compile(path.read_text(encoding="utf-8"), str(path), "exec")
+
+
+def test_only_the_model_reads_the_environment():
+    # TYPOID_MAX_CHECKS, read by `Budget`, is the library's one knob
+    readers = {
+        path.name
+        for path in LIBRARY
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if (isinstance(node, ast.Attribute) and node.attr in ("environ", "environb", "getenv", "getenvb"))
+        or (isinstance(node, ast.Name) and node.id in ("environ", "getenv"))
+        or (isinstance(node, ast.alias) and node.name in ("environ", "getenv"))
+    }
+    assert readers == {"model.py"}

@@ -21,9 +21,13 @@ answered wrongly.  A few seconds.
 reports: `validate_groupoid` (on the base) and `validate_typoid` on the
 stock structures of `tests/corpus.py`, the `family()` of
 `tests/small_models.py`, the benchmark's verify-large rungs, and
-single-entry and endpoint-preserving mutants of each.  Parts: the
-violations, `law_counts` in order, `Budget.spent`, and the outcome at each
-of LIMITS.  About 35 s on two cores.
+single-entry and endpoint-preserving mutants of each; and
+`validate_morphism`, with and without `check_base`, on
+`identity_from_equality` of each stock and `family()` structure and on the
+identity maps between each of them and each of its endpoint-preserving
+mutants, both ways.  Parts: the violations, `law_counts` in order,
+`Budget.spent`, and the outcome at each of LIMITS.  About 2 minutes on
+two cores.
 
 outputs: the generators and every construction on small sizes, the stock
 and `family()` structures and pairs of them, and exponentials at the
@@ -170,7 +174,7 @@ def single_entry_mutants(t, rng: random.Random):
 
 
 def report_inputs(T, corpus, small_models, workloads):
-    """(group, label, typoid) for every input compared."""
+    """(group, label, typoid or morphism) for every input compared."""
     writer = workloads._InputWriter(T, T.dsl, 0, Path("."))
     originals = [
         ("stock", [(name, t) for name, t in corpus.full_stock().items()]),
@@ -191,14 +195,27 @@ def report_inputs(T, corpus, small_models, workloads):
         for i, (label, t) in enumerate(structures):
             for j, m in enumerate(small_models.same_hom_redirects(t, i)):
                 yield f"{group} redirect", f"{label} redirect #{j}", m
+        if group == "verify-large":
+            continue
+        for i, (label, t) in enumerate(structures):
+            yield f"{group} morphism", f"idtoeqv {label}", T.identity_from_equality(t)
+            identity = T.morphisms.identity_morphism(t)
+            for j, m in enumerate(small_models.same_hom_redirects(t, i)):
+                yield f"{group} morphism", f"id {label} -> redirect #{j}", dataclasses.replace(identity, target=m)
+                yield f"{group} morphism", f"id redirect #{j} -> {label}", dataclasses.replace(identity, source=m)
 
 
-def report_parts(T, t) -> list[str]:
-    """The digest of each part over both validators."""
+def report_parts(T, x) -> list[str]:
+    """The digest of each part over the validators of a typoid (both) or a
+    morphism (`validate_morphism` with and without `check_base`)."""
+    if isinstance(x, T.TypoidMorphism):
+        checks = [lambda b, c=c: T.validate_morphism(x, b, check_base=c) for c in (True, False)]
+    else:
+        checks = [lambda b: T.validate_groupoid(x.base, b), lambda b: T.validate_typoid(x, b)]
     parts = {part: [] for part in REPORT_PARTS}
-    for validate, arg in ((T.validate_groupoid, t.base), (T.validate_typoid, t)):
+    for validate in checks:
         budget = T.Budget(UNBOUNDED)
-        report = _attempt(lambda: validate(arg, budget))
+        report = _attempt(lambda: validate(budget))
         if isinstance(report, str):
             parts["violations"].append(report)
         else:
@@ -206,7 +223,7 @@ def report_parts(T, t) -> list[str]:
             parts["law_counts"].append(list(report.law_counts.items()))
         parts["spent"].append(budget.spent)
         for limit in LIMITS:
-            report = _attempt(lambda: validate(arg, T.Budget(limit)))
+            report = _attempt(lambda: validate(T.Budget(limit)))
             parts["limits"].append(report if isinstance(report, str) else "ok")
     return [_digest(part) for part in parts.values()]
 
