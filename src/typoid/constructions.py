@@ -16,7 +16,7 @@ composes whole rows with `zip` and `map`, not one Python call per pair.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping
 
 from .model import (
@@ -162,6 +162,7 @@ def discrete_groupoid(n: int) -> FiniteGroupoid:
 
 def codiscrete_groupoid(n: int) -> FiniteGroupoid:
     """n terms with exactly one path in every hom-set, the refl paths first."""
+    Budget().spend(n**3)  # its composable pairs, as `_presented` charges them, before it lists its paths
     pairs = [(x, x) for x in range(n)] + [(x, y) for x in range(n) for y in range(n) if x != y]
     paths = _presented(
         pairs,
@@ -241,14 +242,18 @@ def twoedge_typoid(name: str = "twoedge") -> Typoid:
 
 @dataclass(frozen=True)
 class ProductProvenance:
-    """Pairing tables of a product: how factor paths and edges combine into
-    product ids and back."""
+    """How a product's ids split into pairs of factor ids, and back: each
+    pairing table inverts its split table, keyed in sorted order."""
 
     factors: tuple[Typoid, Typoid]
-    pair_edge: Mapping[tuple[int, int], int]
+    pair_edge: Mapping[tuple[int, int], int] = field(init=False)
     split_edge: tuple[tuple[int, int], ...]
-    pair_path: Mapping[tuple[int, int], int]
+    pair_path: Mapping[tuple[int, int], int] = field(init=False)
     split_path: tuple[tuple[int, int], ...]
+
+    def __post_init__(self):
+        for pair, split in (("pair_edge", self.split_edge), ("pair_path", self.split_path)):
+            object.__setattr__(self, pair, dict(sorted(zip(split, itertools.count()))))
 
 
 def _pair(l1: _Level, l2: _Level) -> tuple[_Level, tuple[tuple[int, int], ...]]:
@@ -257,6 +262,7 @@ def _pair(l1: _Level, l2: _Level) -> tuple[_Level, tuple[tuple[int, int], ...]]:
     x * l2.term_count + y."""
     t2 = l2.term_count
     table1, table2 = l1.table, l2.table
+    Budget().spend(len(table1) * len(table2))  # its composable pairs (valid tables are closed), before listing keys
     keys = _units_then(
         itertools.product(l1.unit, l2.unit), itertools.product(range(len(l1.src)), range(len(l2.src)))
     )
@@ -275,32 +281,33 @@ def _pair(l1: _Level, l2: _Level) -> tuple[_Level, tuple[tuple[int, int], ...]]:
 
 def product_typoid(a: Typoid, b: Typoid, name: str | None = None) -> tuple[Typoid, ProductProvenance]:
     """Componentwise product: terms, paths, edges and cells are pairs.  The
-    splitting tables are the keys; the pairing tables invert them."""
+    splitting tables are the keys."""
     _require_valid_typoid(a)
     _require_valid_typoid(b)
     paths, split_path = _pair(_paths(a.base), _paths(b.base))
     edges, split_edge = _pair(_edges(a.layer), _edges(b.layer))
-    pair_path, pair_edge = (dict(sorted(zip(split, itertools.count()))) for split in (split_path, split_edge))
+    prov = ProductProvenance((a, b), split_edge, split_path)
     product = Typoid(
         name=name or f"{a.name}_x_{b.name}",
         base=_groupoid(paths),
         layer=_layer(edges),
-        idtoeqv=tuple(pair_edge[(a.idtoeqv[p1], b.idtoeqv[p2])] for p1, p2 in split_path),
+        idtoeqv=tuple(prov.pair_edge[(a.idtoeqv[p1], b.idtoeqv[p2])] for p1, p2 in split_path),
     )
-    return product, ProductProvenance((a, b), pair_edge, split_edge, pair_path, split_path)
+    return product, prov
 
 
 def _check_provenance(p: Typoid, prov: ProductProvenance) -> None:
-    """Refuse a provenance that is not p's: each split pair must name
-    factor ids whose endpoints, as product terms x * |B| + y, are those of
-    the product id it splits."""
+    """Refuse a provenance that is not p's: each split table must name each
+    pair of factor ids once, with the endpoints, as product terms
+    x * |B| + y, of the product id it splits."""
     a, b = prov.factors
     tb = b.term_count
-    for split, level, l1, l2 in (
-        (prov.split_path, _paths(p.base), _paths(a.base), _paths(b.base)),
-        (prov.split_edge, _edges(p.layer), _edges(a.layer), _edges(b.layer)),
+    for split, pair, level, l1, l2 in (
+        (prov.split_path, prov.pair_path, _paths(p.base), _paths(a.base), _paths(b.base)),
+        (prov.split_edge, prov.pair_edge, _edges(p.layer), _edges(a.layer), _edges(b.layer)),
     ):
-        if p.term_count != a.term_count * tb or len(split) != len(level.src) or not all(
+        once = len(pair) == len(split) == len(level.src) == len(l1.src) * len(l2.src)
+        if p.term_count != a.term_count * tb or not once or not all(
             0 <= i < len(l1.src)
             and 0 <= j < len(l2.src)
             and (level.src[k], level.dst[k]) == (l1.src[i] * tb + l2.src[j], l1.dst[i] * tb + l2.dst[j])
@@ -564,12 +571,13 @@ def exponential_typoid(
 # ---------------------------------------------------------------------------
 # finite universe
 
-def universe_typoid(
-    sets: list[int] | tuple[int, ...], name: str = "universe", max_edges: int = 5000
-) -> Typoid:
+UNIVERSE_MAX_EDGES = 5000
+
+
+def universe_typoid(sets: list[int] | tuple[int, ...], name: str = "universe") -> Typoid:
     """Terms are finite sets given by cardinality; edges and base paths are
     the bijections between them, composed diagrammatically.  Univalent by
-    construction."""
+    construction; more than UNIVERSE_MAX_EDGES bijections are refused."""
     sets = tuple(sets)
     if any(n < 0 for n in sets):
         raise ValueError("cardinalities must be non-negative")
@@ -582,12 +590,12 @@ def universe_typoid(
                 f = 1
                 for k in range(2, ni + 1):
                     f *= k
-                    if total + f > max_edges:
+                    if total + f > UNIVERSE_MAX_EDGES:
                         break
                 total += f
-                if total > max_edges:
+                if total > UNIVERSE_MAX_EDGES:
                     raise ResourceLimitError(
-                        "universe-size", f"more than {max_edges} bijections needed"
+                        "universe-size", f"more than {UNIVERSE_MAX_EDGES} bijections needed"
                     )
 
     # a bijection is keyed (source set, target set, permutation)

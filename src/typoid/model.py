@@ -21,7 +21,7 @@ witness is listed.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -70,20 +70,20 @@ class Violation:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    valid: bool
     violations: tuple[Violation, ...]
-    checks: int = 0
-    law_counts: Mapping[str, int] = field(default_factory=dict)
+    law_counts: Mapping[str, int]
+
+    @property
+    def valid(self) -> bool:
+        return not self.violations
+
+    @property
+    def checks(self) -> int:
+        return sum(self.law_counts.values())
 
     @staticmethod
     def collect(violations: list[Violation], counts: dict[str, int]) -> "ValidationReport":
-        ordered = tuple(sorted(violations))
-        return ValidationReport(
-            valid=not ordered,
-            violations=ordered,
-            checks=sum(counts.values()),
-            law_counts=dict(counts),
-        )
+        return ValidationReport(tuple(sorted(violations)), dict(counts))
 
 
 class _HomIndex:
@@ -227,8 +227,8 @@ def cells_equal(t: Typoid, e: int, d: int) -> bool:
     return layer.cell[e] == layer.cell[d]
 
 
-def _ids_in_range(ids, count) -> bool:
-    return all(0 <= i < count for i in ids)
+def _ids_in_range(ids: Sequence[int] | set[int], count: int) -> bool:
+    return not ids or (min(ids) >= 0 and max(ids) < count)
 
 
 def _out_index(src: tuple[int, ...], term_count: int) -> list[list[int]]:
@@ -416,9 +416,8 @@ def _edges(layer: EquivalenceLayer) -> _Level:
     )
 
 
-def _malformed(level: _Level, violations: list[Violation]) -> bool:
-    """Bookkeeping on a level's tables: lengths and id ranges, then the
-    endpoints of units and inverses.  True when the tables cannot be read."""
+def _unreadable(level: _Level) -> list[str]:
+    """Why a level's id tables cannot be read: lengths or id ranges."""
     w, term_count, src, dst, unit, _, inv, cell = level
     n = len(src)
     broken = [
@@ -439,6 +438,14 @@ def _malformed(level: _Level, violations: list[Violation]) -> bool:
         and _ids_in_range(cell, n)
     ):
         broken.append(f"{w.item} or term id out of range")
+    return broken
+
+
+def _malformed(level: _Level, violations: list[Violation]) -> bool:
+    """Bookkeeping on a level's tables: lengths and id ranges, then the
+    endpoints of units and inverses.  True when the tables cannot be read."""
+    w, _, src, dst, unit, _, inv, _ = level
+    broken = _unreadable(level)
     violations.extend(Violation("Bookkeeping", (), detail) for detail in broken)
     if broken:
         return True

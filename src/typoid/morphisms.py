@@ -10,9 +10,11 @@ functoriality, so one search and one law loop serve both levels.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .model import Budget, Typoid, ValidationReport, Violation, _constant_on_cells, _edges, _Level, _paths
+from .model import _ids_in_range, _unreadable
 
 
 @dataclass(frozen=True)
@@ -61,6 +63,13 @@ def validate_morphism(
             )
     if not violations and not all(0 <= y < dst.term_count for y in m.term_map):
         violations.append(Violation("Bookkeeping", (), "term map value out of range"))
+    # the laws read every id of both endpoints' tables; edge ends index the term map
+    for side, t in (("source", src), ("target", dst)):
+        for level in (_paths(t.base), _edges(t.layer)._replace(term_count=t.term_count)):
+            broken = _unreadable(level)
+            if not _ids_in_range({*chain.from_iterable(level.table), *level.table.values()}, len(level.src)):
+                broken.append(f"{level.words.comp} id out of range")
+            violations += (Violation("Bookkeeping", (), f"{side} {detail}") for detail in broken)
     if violations:
         return ValidationReport.collect(violations, counts)
 

@@ -20,7 +20,6 @@ from .morphisms import TypoidMorphism
 class UnivalenceCertificate:
     typoid_name: str
     ua: tuple[int, ...]
-    strict: bool
 
 
 @dataclass(frozen=True)
@@ -102,14 +101,15 @@ def check_univalence(
             f"typoid {t.name!r} is invalid: its witness table does not send every "
             "designated eqv edge to refl"
         )
-    return UnivalenceCertificate(typoid_name=t.name, ua=tuple(ua), strict=True)
+    return UnivalenceCertificate(typoid_name=t.name, ua=tuple(ua))
 
 
 def verify_certificate(
     t: Typoid, c: UnivalenceCertificate, budget: Budget | None = None
 ) -> ValidationReport:
-    """Exhaustively check both round-trips and that the table is constant on
-    cells; also checks endpoint bookkeeping and the strictness flag."""
+    """Exhaustively check both round-trips, that the table is constant on
+    cells and that it sends each designated eqv edge to refl; also checks
+    endpoint bookkeeping."""
     budget = budget or Budget()
     base, layer = t.base, t.layer
     violations: list[Violation] = []
@@ -149,12 +149,10 @@ def verify_certificate(
     violations += bad
     counts["UaCong"] = cong
 
-    strict = all(c.ua[layer.eqv[x]] == base.refl[x] for x in range(t.term_count))
+    for x in range(t.term_count):
+        if c.ua[layer.eqv[x]] != base.refl[x]:
+            violations.append(Violation("Strictness", (x,), f"the eqv edge of term {x} does not map to refl"))
     counts["Strictness"] = t.term_count
-    if c.strict != strict:
-        violations.append(
-            Violation("Strictness", (), f"flag says strict={c.strict} but the table says {strict}")
-        )
     budget.spend(rt1 + rt2 + cong + t.term_count)
 
     return ValidationReport.collect(violations, counts)
@@ -265,15 +263,8 @@ def check_pointed_factors(
         ua = []
         for e in range(factor.layer.edge_count):
             pair = (e, anchor) if left else (anchor, e)
-            q = cert.ua[prov.pair_edge[pair]]
-            p1, p2 = prov.split_path[q]
-            ua.append(p1 if left else p2)
-        ua_t = tuple(ua)
-        strict = all(
-            ua_t[factor.layer.eqv[x]] == factor.base.refl[x]
-            for x in range(factor.term_count)
-        )
-        c = UnivalenceCertificate(typoid_name=factor.name, ua=ua_t, strict=strict)
+            ua.append(prov.split_path[cert.ua[prov.pair_edge[pair]]][0 if left else 1])
+        c = UnivalenceCertificate(typoid_name=factor.name, ua=tuple(ua))
         return c, f"certified via the point {point} of the opposite factor"
 
     cert_a, note_a = certify(a, b_point, b, left=True)

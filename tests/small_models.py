@@ -688,18 +688,12 @@ def naive_product(a: Typoid, b: Typoid, name: str | None = None) -> tuple[Typoid
     idtoeqv = tuple(eid(a.idtoeqv[p1], b.idtoeqv[p2]) for p1 in range(pa) for p2 in range(pb))
     out, pmap, emap = _renumber(Typoid(name=name, base=base, layer=layer, idtoeqv=idtoeqv))
 
-    pair_edge = {(e1, e2): emap[eid(e1, e2)] for e1 in range(ea) for e2 in range(eb)}
     split_edge: list[tuple[int, int]] = [(0, 0)] * (ea * eb)
-    for (e1, e2), e in pair_edge.items():
-        split_edge[e] = (e1, e2)
-    pair_path = {(p1, p2): pmap[pid(p1, p2)] for p1 in range(pa) for p2 in range(pb)}
+    for e1 in range(ea):
+        for e2 in range(eb):
+            split_edge[emap[eid(e1, e2)]] = (e1, e2)
     split_path: list[tuple[int, int]] = [(0, 0)] * (pa * pb)
-    for (p1, p2), p in pair_path.items():
-        split_path[p] = (p1, p2)
-    return out, ProductProvenance(
-        factors=(a, b),
-        pair_edge=pair_edge,
-        split_edge=tuple(split_edge),
-        pair_path=pair_path,
-        split_path=tuple(split_path),
-    )
+    for p1 in range(pa):
+        for p2 in range(pb):
+            split_path[pmap[pid(p1, p2)]] = (p1, p2)
+    return out, ProductProvenance(factors=(a, b), split_edge=tuple(split_edge), split_path=tuple(split_path))

@@ -56,9 +56,7 @@ def test_criterion_02_univalence_oracle_equivalence():
             else:
                 assert not satisfying, f"{t.name}: decision says no, oracle found a table"
             for table in rejected:
-                rejected_cert = UnivalenceCertificate(
-                    typoid_name=t.name, ua=table, strict=False
-                )
+                rejected_cert = UnivalenceCertificate(typoid_name=t.name, ua=table)
                 assert not T.verify_certificate(t, rejected_cert).valid, t.name
         assert univalent > 0 and univalent < len(fam)
         print(f"  family: {len(fam)} structures, {univalent} univalent")

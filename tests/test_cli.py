@@ -103,6 +103,8 @@ def test_law_violations_exit_one_with_l_codes(tmp_path, capsys):
     assert code == 1
     assert report["result"] == "invalid"
     assert all(v["code"].startswith("L") for v in report["violations"])
+    # univalence is decided only on a valid typoid, and says why not
+    assert run(capsys, "univalence", str(f)) == (1, report)
 
 
 def test_exp_resource_limit_exits_three(tmp_path, capsys):
@@ -236,6 +238,20 @@ def test_a_product_the_budget_cannot_validate_exits_3_before_it_is_built(tmp_pat
     assert code == 3
     assert report["violations"][0]["bound"] == "TYPOID_MAX_CHECKS"
     assert time.perf_counter() - start < 5.0
+    assert not out.exists()
+
+
+def test_a_product_too_large_to_list_exits_3_with_one_report(tmp_path, capsys, monkeypatch):
+    # 16,000,000 composable pairs, refused before the product's ids are listed
+    monkeypatch.delenv("TYPOID_MAX_CHECKS", raising=False)
+    disc = tmp_path / "disc.typoid"
+    assert run(capsys, "gen", "discrete", "4000", "-o", str(disc))[0] == 0
+    out = tmp_path / "p.typoid"
+    code, report = run(capsys, "product", str(disc), "disc4000", "disc4000", "-o", str(out))
+    assert code == 3
+    assert report["violations"] == [
+        {"code": "R000", "bound": "TYPOID_MAX_CHECKS", "message": "16000000 law instances needed, limit is 10000000"}
+    ]
     assert not out.exists()
 
 
@@ -382,6 +398,8 @@ def test_induce_rejects_unknown_source_names(tmp_path, capsys):
     f.write_text(AB)
     for command, flags, message in (
         ("induce", ["--map", "x:x,zz:x", "--path-map", "p:p"], "--map names unknown term 'zz'"),
+        ("induce", ["--map", "x:zz", "--path-map", "p:p"], "--map sends 'x' to unknown term 'zz'"),
+        ("induce", ["--map", "x", "--path-map", "p:p"], "bad --map entry 'x'; expected name:name"),
         ("induce", ["--map", "x:x", "--path-map", "p:p,nope:p"], "--path-map names unknown path 'nope'"),
         # a name assigned twice is refused, not settled by the last assignment
         ("induce", ["--map", "x:x,x:x", "--path-map", "p:p"], "--map maps term 'x' twice"),
@@ -409,7 +427,12 @@ def test_bad_command_lines_end_in_one_report(tmp_path, capsys):
     f = tmp_path / "ab.typoid"
     f.write_text(AB)
     out = tmp_path / "e.typoid"
-    for argv in ([], ["bogus"], ["exp", str(f), "A", "B", "-o", str(out), "--max-terms", "abc"]):
+    for argv in (
+        [],
+        ["bogus"],
+        ["exp", str(f), "A", "B", "-o", str(out), "--max-terms", "abc"],
+        ["gen", "universe", "-o", str(out)],
+    ):
         code = cli.main(argv)
         lines = capsys.readouterr().out.splitlines()
         assert code == 2, argv

@@ -170,6 +170,25 @@ def test_same_size_products_reject_each_others_provenance():
             T.check_pointed_factors(prod, other_prov)
 
 
+def test_a_provenance_is_its_split_tables():
+    # the pairing tables invert the split tables, so they cannot be set
+    # apart from them, and a split table that names a pair twice is refused
+    eq = T.equality_typoid
+    prod, prov = T.product_typoid(eq(T.cyclic_groupoid(2)), eq(T.codiscrete_groupoid(2)))
+    rotated = dict(zip(prov.pair_edge, [*list(prov.pair_edge.values())[1:], 0]))
+    with pytest.raises(ValueError, match="init=False"):
+        dataclasses.replace(prov, pair_edge=rotated)
+    f, g = T.projections(prod, prov)
+    assert T.validate_morphism(T.pairing(f, g, prod, prov)).valid
+    # on eq(Z2) x eq(Z2) every edge is a loop, so only the count catches it
+    z2 = eq(T.cyclic_groupoid(2))
+    prod, prov = T.product_typoid(z2, z2)
+    f, g = T.projections(prod, prov)
+    lossy = T.ProductProvenance(prov.factors, (prov.split_edge[1], *prov.split_edge[1:]), prov.split_path)
+    with pytest.raises(ValueError, match="provenance does not describe this product"):
+        T.pairing(f, g, prod, lossy)
+
+
 # -- truncation ---------------------------------------------------------------
 
 def test_truncate_unit_is_unit():
@@ -390,6 +409,20 @@ def test_a_layer_with_more_composable_pairs_than_the_budget_is_refused_unbuilt(m
     assert time.perf_counter() - start < 5.0
 
 
+def test_products_and_truncations_are_refused_before_their_keys_are_listed(monkeypatch):
+    # the truncation of eq(discrete 3000) has 27,000,000,000 composable
+    # pairs and eq(discrete 4000) squared 16,000,000: too many to list
+    # their ids before refusing them
+    monkeypatch.delenv("TYPOID_MAX_CHECKS", raising=False)
+    d3000, d4000 = (T.equality_typoid(T.discrete_groupoid(n)) for n in (3000, 4000))
+    refusals = ((lambda: T.truncate(d3000), 27 * 10**9), (lambda: T.product_typoid(d4000, d4000), 16 * 10**6))
+    for build, needed in refusals:
+        start = time.perf_counter()
+        with pytest.raises(T.ResourceLimitError, match=f"{needed} law instances needed"):
+            build()
+        assert time.perf_counter() - start < 1.0
+
+
 def test_completion_base_matches_brute_force_on_family_layers():
     for t in family():
         assert repr(_completion_base(t.layer)) == repr(naive_completion_base(t.layer)), t.name
@@ -453,6 +486,13 @@ def test_universe_size_bound():
     with pytest.raises(T.ResourceLimitError) as exc:
         T.universe_typoid([7])
     assert exc.value.bound == "universe-size"
+
+
+def test_generators_refuse_sizes_out_of_range():
+    with pytest.raises(ValueError, match="at least 1"):
+        T.cyclic_groupoid(0)
+    with pytest.raises(ValueError, match="non-negative"):
+        T.universe_typoid([2, -1])
 
 
 # -- completion ---------------------------------------------------------------

@@ -478,7 +478,7 @@ _CASES = {
     "idtoeqv-entries": lambda: _edges(_P2G, _prop2_layer(), (0, 1, 3, 7)),
     "idtoeqv-laws": lambda: _edges(_Z2G, _z2_layer(_Z2), (1, 1)),
     "derived-inv-cong": lambda: T.derived_laws(Typoid("t", _DISC1, _loops({}, (0, 2, 1), (0, 0, 2)), (0,))),
-    "ua-cong": lambda: T.verify_certificate(_one_cell(), T.UnivalenceCertificate("t", (0, 1), True)),
+    "ua-cong": lambda: T.verify_certificate(_one_cell(), T.UnivalenceCertificate("t", (0, 1))),
     "cell-pres": lambda: T.validate_morphism(
         T.TypoidMorphism("m", _one_cell(), T.equality_typoid(_Z2G), (0,), (0, 1), (0, 1))
     ),

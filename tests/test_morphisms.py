@@ -94,6 +94,11 @@ def test_inverse_law_for_identity_and_projections():
     prod, prov = stock_products()["prod_universe2_universe2"]
     for m in T.projections(prod, prov):
         assert T.check_inverse_law(m).valid
+    # an edge map that is no morphism: eq(Z3)'s edges 1 and 2 both to 1
+    z3 = T.equality_typoid(T.cyclic_groupoid(3))
+    report = T.check_inverse_law(dataclasses.replace(identity_morphism(z3), edge_map=(0, 1, 1)))
+    assert [(v.law, v.witness) for v in report.violations] == [("InvPres", (1,)), ("InvPres", (2,))]
+    assert report.law_counts == {"InvPres": 3}
 
 
 def test_compose_identities_is_identity():
@@ -146,6 +151,10 @@ def test_pairing_then_projection_recovers_factor():
     assert same_maps(again1, pr1)
     again2 = T.compose_morphisms(paired, pr2)
     assert same_maps(again2, pr2)
+    with pytest.raises(ValueError, match="common source"):
+        T.pairing(pr1, identity_morphism(b), prod, prov)
+    with pytest.raises(ValueError, match="targets must be the factors"):
+        T.pairing(pr2, pr1, prod, prov)
 
 
 def test_identity_from_equality_unit():
@@ -183,6 +192,10 @@ def test_path_functor_enumeration():
     assert functors == [(0, 0), (0, 1)]
     with pytest.raises(ValueError, match="path"):
         T.find_path_functor(T.codiscrete_groupoid(2), T.discrete_groupoid(2), (0, 1))
+    # every path has candidates, but refl . refl is not refl in the target
+    broken = T.FiniteGroupoid(1, (0, 0), (0, 0), (0,), {(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): 0}, (0, 1))
+    with pytest.raises(ValueError, match="no choice of path images satisfies the functor laws"):
+        T.find_path_functor(T.discrete_groupoid(1), broken, (0,))
 
 
 def test_path_functors_match_brute_force_on_small_groupoids():
@@ -272,3 +285,27 @@ def test_a_composite_missing_from_the_target_is_a_counted_violation(part, table,
     # one per source composite for the composition law, the missing one included
     expected = len(entries) + (z2.term_count if law == "ApFunctor" else 0)
     assert report.law_counts[law] == expected
+
+
+@pytest.mark.parametrize(
+    "side, part, table, value",
+    [
+        ("source", "base", "comp", {(1, 1): 7}),
+        ("source", "layer", "star", {(1, 1): 7}),
+        ("target", "base", "refl", (5,)),
+        ("target", "layer", "cell", (0,)),
+        ("source", "layer", "star", {(1, 9): 0}),
+    ],
+)
+def test_an_endpoint_id_out_of_range_is_bookkeeping(side, part, table, value):
+    # each raised IndexError from the law loop
+    z2 = stock_base()["eq_z2"]
+    level = getattr(z2, part)
+    if isinstance(value, dict):
+        value = {**getattr(level, table), **value}
+    broken = dataclasses.replace(z2, **{part: dataclasses.replace(level, **{table: value})})
+    m = dataclasses.replace(identity_morphism(z2), **{side: broken})
+    report = T.validate_morphism(m)
+    assert report.violations and all(v.law == "Bookkeeping" for v in report.violations)
+    assert all(v.detail.startswith(side) for v in report.violations)
+    assert report.law_counts == {}

@@ -3,6 +3,8 @@ commuting squares, pointed factors."""
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 import typoid as T
@@ -20,7 +22,7 @@ def test_equality_typoid_strictly_univalent_with_identity_table():
     cert = T.check_univalence(t)
     assert isinstance(cert, UnivalenceCertificate)
     assert cert.ua == tuple(range(t.layer.edge_count))
-    assert cert.strict
+    assert all(cert.ua[t.layer.eqv[x]] == t.base.refl[x] for x in range(t.term_count))
 
 
 def test_twoedge_not_univalent_unhit_cell():
@@ -49,16 +51,33 @@ def test_injectivity_failure_witnessed():
 
 def test_verify_certificate_identity_on_equality_typoid():
     t = stock_base()["eq_z2"]
-    cert = UnivalenceCertificate(typoid_name=t.name, ua=(0, 1), strict=True)
+    cert = UnivalenceCertificate(typoid_name=t.name, ua=(0, 1))
     assert T.verify_certificate(t, cert).valid
 
 
 def test_verify_certificate_swapped_table_fails_first_round_trip():
     t = stock_base()["eq_z2"]
-    swapped = UnivalenceCertificate(typoid_name=t.name, ua=(1, 0), strict=False)
+    swapped = UnivalenceCertificate(typoid_name=t.name, ua=(1, 0))
     report = T.verify_certificate(t, swapped)
     assert not report.valid
     assert any(v.law == "RoundTrip1" and v.witness == (0,) for v in report.violations)
+    assert [v.witness for v in report.violations if v.law == "Strictness"] == [(0,)]
+    assert report.law_counts["Strictness"] == t.term_count
+
+
+@pytest.mark.parametrize(
+    "ua, witness, detail",
+    [
+        ((0,), (), "table has 1 entries for 2 edges"),
+        ((0, 5), (1,), "edge 1 maps to out-of-range path 5"),
+        ((1, 0), (0, 1), "image of edge 0 has wrong endpoints"),
+    ],
+)
+def test_verify_certificate_reports_a_table_it_cannot_read(ua, witness, detail):
+    t = stock_base()["bool_disc"]
+    report = T.verify_certificate(t, UnivalenceCertificate(typoid_name=t.name, ua=ua))
+    assert report.violations == (T.Violation("Bookkeeping", witness, detail),)
+    assert report.law_counts == {}
 
 
 def test_verify_certificate_checks_constancy_on_cells():
@@ -81,6 +100,11 @@ def test_check_univalence_rejects_invalid_typoid():
         T.check_univalence(broken)
     with pytest.raises(ValueError):
         T.check_univalence(broken, report=T.validate_typoid(broken))
+    # a report of another typoid: eq_z2 with refl sent to the other edge
+    t = stock_base()["eq_z2"]
+    swapped = dataclasses.replace(t, idtoeqv=(1, 0))
+    with pytest.raises(ValueError, match="does not send every designated eqv edge to refl"):
+        T.check_univalence(swapped, report=T.validate_typoid(t))
 
 
 def test_check_univalence_trusts_a_passed_report(monkeypatch):
@@ -129,6 +153,11 @@ def test_check_square_identity_on_equality_typoid():
     t = stock_base()["eq_z2"]
     cert = T.check_univalence(t)
     assert T.check_square(identity_morphism(t), cert).valid
+    # a path map that disagrees with the edge map fails both squares
+    collapsed = dataclasses.replace(identity_morphism(t), path_map=(0, 0))
+    report = T.check_square(collapsed, cert, cert)
+    assert [(v.law, v.witness) for v in report.violations] == [("Square", (1,)), ("Square", (3,))]
+    assert report.law_counts == {"Square": 2, "SquareEdges": 2}
 
 
 def test_check_square_for_induced_morphisms_both_univalent():
@@ -176,6 +205,8 @@ def test_pointed_factors_certify_both_sides():
     assert report.cert_a is not None and report.cert_b is not None
     assert T.verify_certificate(a, report.cert_a).valid
     assert T.verify_certificate(b, report.cert_b).valid
+    with pytest.raises(ValueError, match="point 2 is not a term of"):
+        T.check_pointed_factors(prod, prov, a_point=2)
 
 
 def test_pointed_factors_empty_factor_inapplicable():
@@ -232,5 +263,5 @@ def test_decision_matches_oracle_on_three_term_instances():
         else:
             assert not satisfying, t.name
         for table in rejected:
-            bad = UnivalenceCertificate(typoid_name=t.name, ua=table, strict=False)
+            bad = UnivalenceCertificate(typoid_name=t.name, ua=table)
             assert not T.verify_certificate(t, bad).valid, t.name

@@ -32,10 +32,13 @@ two cores.
 outputs: the generators and every construction on small sizes, the stock
 and `family()` structures and pairs of them, and exponentials at the
 `construct` workload's limits (the default limits refuse most family
-pairs), into `twoedge_typoid` and into a fat cell among them.  Parts: the
-`repr` of each output (or raised exception), and that of a copy with
-sorted dicts; a row whose sorted copies agree is equal up to dict order,
-not different.  About 30 s on two cores.
+pairs), into `twoedge_typoid` and into a fat cell among them.  For each
+product of `stock_products()`, also whether each projection and their
+pairing pass `validate_morphism`, with the law counts, and each pointed
+factor certificate's table with whether `verify_certificate` passes it,
+as plain values.  Parts: the `repr` of each output (or raised exception),
+and that of a copy with sorted dicts; a row whose sorted copies agree is
+equal up to dict order, not different.  About 30 s on two cores.
 """
 
 from __future__ import annotations
@@ -257,6 +260,19 @@ def _sorted_dicts(obj):
     return obj
 
 
+def _product_maps(T, prod, prov) -> list:
+    """(valid, law counts) of each projection and of their pairing."""
+    pr1, pr2 = T.projections(prod, prov)
+    reports = [T.validate_morphism(m) for m in (pr1, pr2, T.pairing(pr1, pr2, prod, prov))]
+    return [(r.valid, list(r.law_counts.items())) for r in reports]
+
+
+def _pointed_factors(T, prod, prov) -> list:
+    """(table, verify_certificate passes it) of each factor certificate."""
+    report = T.check_pointed_factors(prod, prov)
+    return [(c.ua, T.verify_certificate(f, c).valid) for f, c in zip(prov.factors, (report.cert_a, report.cert_b))]
+
+
 def outputs(T, corpus, small_models):
     """(construction, input label, thunk) for every output compared."""
     stock = corpus.full_stock()
@@ -282,6 +298,9 @@ def outputs(T, corpus, small_models):
     ]
     for label, a, b in stock_pairs + family_pairs:
         yield "product_typoid", label, lambda a=a, b=b: T.product_typoid(a, b)
+    for label, (prod, prov) in corpus.stock_products().items():
+        yield "projections and their pairing", label, lambda prod=prod, prov=prov: _product_maps(T, prod, prov)
+        yield "check_pointed_factors", label, lambda prod=prod, prov=prov: _pointed_factors(T, prod, prov)
     disc4 = T.equality_typoid(T.discrete_groupoid(4))
     codiscrete = [
         (f"eq(codiscrete {k}) -> eq(discrete 4)", T.equality_typoid(T.codiscrete_groupoid(k)), disc4)
