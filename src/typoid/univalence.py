@@ -65,34 +65,25 @@ def check_univalence(
             f"first: {first.law} {first.detail})"
         )
 
-    base, layer = t.base, t.layer
-    ua = [0] * layer.edge_count
-    for x in range(t.term_count):
-        for y in range(t.term_count):
-            paths = base.hom(x, y)
-            edges = layer.hom(x, y)
-            budget.spend(len(paths) + len(edges))
-            path_of_class: dict[int, int] = {}
-            for p in paths:
-                rep = layer.cell[t.idtoeqv[p]]
-                if rep in path_of_class:
-                    return NotUnivalent(
-                        typoid_name=t.name,
-                        reason="not-injective",
-                        hom=(x, y),
-                        witness_paths=(path_of_class[rep], p),
-                    )
-                path_of_class[rep] = p
-            for e in edges:
-                if layer.cell[e] not in path_of_class:
-                    return NotUnivalent(
-                        typoid_name=t.name,
-                        reason="not-surjective",
-                        hom=(x, y),
-                        witness_edge=layer.cell[e],
-                    )
-            for e in edges:
-                ua[e] = path_of_class[layer.cell[e]]
+    # Cells never cross hom-sets, so one map from cells to paths decides
+    # every hom-set at once.  The failure of the least hom-set is returned,
+    # a not-injective one before a not-surjective one ("i" sorts before "s").
+    base, layer, cell = t.base, t.layer, t.layer.cell
+    budget.spend(base.path_count + layer.edge_count)
+    path_of_cell: dict[int, int] = {}
+    failures = []
+    for p in range(base.path_count):
+        first = path_of_cell.setdefault(cell[t.idtoeqv[p]], p)
+        if first != p:
+            hom = (base.path_src[p], base.path_dst[p])
+            failures.append(NotUnivalent(t.name, "not-injective", hom, witness_paths=(first, p)))
+    for e in range(layer.edge_count):
+        if cell[e] not in path_of_cell:
+            hom = (layer.edge_src[e], layer.edge_dst[e])
+            failures.append(NotUnivalent(t.name, "not-surjective", hom, witness_edge=cell[e]))
+    if failures:
+        return min(failures, key=lambda w: (w.hom, w.reason))
+    ua = [path_of_cell[c] for c in cell]
 
     # Forced for a valid typoid: the class map sends refl's image cell back
     # to refl itself.  Failing means `report` did not describe `t`.
@@ -104,6 +95,20 @@ def check_univalence(
     return UnivalenceCertificate(typoid_name=t.name, ua=tuple(ua))
 
 
+def _unreadable_table(t: Typoid, ua: tuple[int, ...]) -> list[Violation]:
+    """The Bookkeeping violation of a table that does not send each edge of
+    `t` to a path of `t` between the same terms, or none."""
+    base, layer = t.base, t.layer
+    if len(ua) != layer.edge_count:
+        return [Violation("Bookkeeping", (), f"table has {len(ua)} entries for {layer.edge_count} edges")]
+    for e, p in enumerate(ua):
+        if not 0 <= p < base.path_count:
+            return [Violation("Bookkeeping", (e,), f"edge {e} maps to out-of-range path {p}")]
+        if (base.path_src[p], base.path_dst[p]) != (layer.edge_src[e], layer.edge_dst[e]):
+            return [Violation("Bookkeeping", (e, p), f"image of edge {e} has wrong endpoints")]
+    return []
+
+
 def verify_certificate(
     t: Typoid, c: UnivalenceCertificate, budget: Budget | None = None
 ) -> ValidationReport:
@@ -112,22 +117,10 @@ def verify_certificate(
     endpoint bookkeeping."""
     budget = budget or Budget()
     base, layer = t.base, t.layer
-    violations: list[Violation] = []
     counts: dict[str, int] = {}
-
-    if len(c.ua) != layer.edge_count:
-        violations.append(
-            Violation("Bookkeeping", (), f"table has {len(c.ua)} entries for {layer.edge_count} edges")
-        )
+    violations = _unreadable_table(t, c.ua)
+    if violations:
         return ValidationReport.collect(violations, counts)
-    for e in range(layer.edge_count):
-        p = c.ua[e]
-        if not 0 <= p < base.path_count:
-            violations.append(Violation("Bookkeeping", (e,), f"edge {e} maps to out-of-range path {p}"))
-            return ValidationReport.collect(violations, counts)
-        if (base.path_src[p], base.path_dst[p]) != (layer.edge_src[e], layer.edge_dst[e]):
-            violations.append(Violation("Bookkeeping", (e, p), f"image of edge {e} has wrong endpoints"))
-            return ValidationReport.collect(violations, counts)
 
     rt1 = base.path_count
     for p in range(base.path_count):
@@ -169,8 +162,11 @@ def induce_morphism(
     source: trade each edge for a path, push it through the base functor,
     and read the result back as an edge of the destination.
 
-    Raises NotUnivalentError when the source admits no witness table.
+    Raises NotUnivalentError when the source admits no witness table, and
+    ValueError when `path_map` is not a map of the source's paths.
     """
+    if len(path_map) != src.base.path_count or not all(0 <= p < dst.base.path_count for p in path_map):
+        raise ValueError(f"the path map does not send the paths of {src.name!r} to paths of {dst.name!r}")
     cert = check_univalence(src)
     if isinstance(cert, NotUnivalent):
         raise NotUnivalentError(cert)
@@ -195,11 +191,14 @@ def check_square(
 ) -> ValidationReport:
     """The path square: pushing a path down to an edge, across the morphism
     and back up to a path agrees with the base functor.  When a source
-    certificate is supplied, the edge square is checked as well."""
+    certificate is supplied, the edge square is checked as well.  A table
+    that is not one of its typoid's is reported as Bookkeeping."""
     budget = budget or Budget()
     src = m.source
-    violations: list[Violation] = []
     counts: dict[str, int] = {}
+    violations = _unreadable_table(m.target, c_dst.ua) or (_unreadable_table(src, c_src.ua) if c_src else [])
+    if violations:
+        return ValidationReport.collect(violations, counts)
 
     n = src.base.path_count
     for p in range(n):

@@ -29,6 +29,7 @@ from typoid.model import (
     validate_typoid,
 )
 from typoid.morphisms import TypoidMorphism
+from typoid.univalence import NotUnivalent, UnivalenceCertificate
 
 # ---------------------------------------------------------------------------
 # base groupoids
@@ -412,6 +413,28 @@ def oracle_search(t: Typoid):
         elif len(rejected) < 3:
             rejected.append(table)
     return satisfying, rejected
+
+
+def naive_univalence(t: Typoid):
+    """The decision hom-set by hom-set, over every ordered pair of terms:
+    the certificate, or the first failure of the least hom-set, paths
+    before edges.  `t` must be valid."""
+    base, layer = t.base, t.layer
+    ua = [0] * layer.edge_count
+    for x in range(t.term_count):
+        for y in range(t.term_count):
+            path_of_class: dict[int, int] = {}
+            for p in base.hom(x, y):
+                rep = layer.cell[t.idtoeqv[p]]
+                if rep in path_of_class:
+                    return NotUnivalent(t.name, "not-injective", (x, y), witness_paths=(path_of_class[rep], p))
+                path_of_class[rep] = p
+            for e in layer.hom(x, y):
+                if layer.cell[e] not in path_of_class:
+                    return NotUnivalent(t.name, "not-surjective", (x, y), witness_edge=layer.cell[e])
+            for e in layer.hom(x, y):
+                ua[e] = path_of_class[layer.cell[e]]
+    return UnivalenceCertificate(typoid_name=t.name, ua=tuple(ua))
 
 
 # ---------------------------------------------------------------------------

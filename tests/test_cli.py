@@ -308,6 +308,18 @@ def test_univalence_spends_one_budget_across_validation_and_decision(tmp_path, c
     code, report = run(capsys, "univalence", str(f), "--typoid", "A")
     assert code == 3
     assert report["result"] == "resource-limit"
+    # not univalent at its first hom-set, (x, x), and charged for every path
+    # and edge all the same: two paths and three edges
+    f.write_text("typoid T {\n  terms x y ;\n  edge e : x ~ x ;\n  star e * e = eqv_x ;\n  einv e = e ;\n}\n")
+    monkeypatch.delenv("TYPOID_MAX_CHECKS")
+    code, report = run(capsys, "univalence", str(f))
+    assert code == 1
+    assert report["violations"][0]["detail"] == "not-surjective on hom (0, 0)"
+    decision = 2 + 3
+    monkeypatch.setenv("TYPOID_MAX_CHECKS", str(report["stats"]["checks"] + decision))
+    assert run(capsys, "univalence", str(f))[0] == 1
+    monkeypatch.setenv("TYPOID_MAX_CHECKS", str(report["stats"]["checks"] + decision - 1))
+    assert run(capsys, "univalence", str(f))[0] == 3
 
 
 def test_missing_star_rows_are_reported_up_to_a_cap(tmp_path, capsys):

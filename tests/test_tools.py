@@ -3,6 +3,7 @@ and its refusal of a directory without sources."""
 
 from __future__ import annotations
 
+import dataclasses
 import importlib.util
 from pathlib import Path
 
@@ -14,8 +15,8 @@ tree_diff = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(tree_diff)
 
 
-def report_row(group, label, violations="v", law_counts="c", spent="s", limits="l"):
-    return [group, label, violations, law_counts, spent, limits]
+def report_row(group, label, violations="v", law_counts="c", spent="s", limits="l", decision="d", decision_spent="e"):
+    return [group, label, violations, law_counts, spent, limits, decision, decision_spent]
 
 
 def test_identical_rows_exit_zero():
@@ -87,3 +88,18 @@ def test_a_directory_without_sources_exits_two_before_any_child(tmp_path, monkey
     with pytest.raises(SystemExit) as exit_info:
         tree_diff.main(["cli", str(src), str(src)])  # --seed is required
     assert exit_info.value.code == 2
+
+
+def test_report_parts_record_the_decision_of_a_typoid_that_validates():
+    import typoid as T
+
+    unit, twoedge = T.unit_typoid(), T.twoedge_typoid()
+    broken = dataclasses.replace(unit, name="broken", idtoeqv=(1,))
+    parts = {t.name: dict(zip(tree_diff.REPORT_PARTS, tree_diff.report_parts(T, t))) for t in (unit, twoedge, broken)}
+    assert parts["unit"]["decision"] == tree_diff._digest([T.check_univalence(unit)])
+    assert parts["twoedge"]["decision"] == tree_diff._digest([T.check_univalence(twoedge)])
+    assert parts["twoedge"]["decision spent"] == tree_diff._digest([T.validate_typoid(twoedge).checks + 3])
+    none = tree_diff._digest([])
+    assert parts["broken"]["decision"] == parts["broken"]["decision spent"] == none
+    morphism = tree_diff.report_parts(T, T.morphisms.identity_morphism(unit))
+    assert morphism[-2:] == [none, none]

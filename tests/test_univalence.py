@@ -4,6 +4,7 @@ commuting squares, pointed factors."""
 from __future__ import annotations
 
 import dataclasses
+import time
 
 import pytest
 
@@ -12,8 +13,8 @@ from typoid.model import FiniteGroupoid, EquivalenceLayer, Typoid
 from typoid.morphisms import identity_morphism
 from typoid.univalence import NotUnivalent, UnivalenceCertificate
 
-from corpus import stock_base, stock_products, univalent_stock
-from small_models import oracle_search
+from corpus import full_stock, stock_base, stock_products, univalent_stock
+from small_models import family, naive_univalence, oracle_search
 from test_morphisms import rich_unit_cell_typoid
 
 
@@ -123,6 +124,29 @@ def test_check_univalence_trusts_a_passed_report(monkeypatch):
     )
 
 
+def test_decision_matches_the_hom_set_walk():
+    # the same certificate or the same first failure as the walk over every
+    # ordered pair of terms, on every stock and enumerated structure
+    outcomes = []
+    for t in [*full_stock().values(), *family()]:
+        outcome = T.check_univalence(t)
+        assert repr(outcome) == repr(naive_univalence(t)), t.name
+        outcomes.append(getattr(outcome, "reason", "univalent"))
+    assert [outcomes.count(k) for k in ("univalent", "not-injective", "not-surjective")] == [488, 1031, 937]
+
+
+def test_decision_is_linear_in_paths_and_edges():
+    # 3,000 terms make 9,000,000 ordered pairs but only 6,000 paths and edges
+    t = T.equality_typoid(T.discrete_groupoid(3000))
+    report = T.validate_typoid(t)
+    budget = T.Budget()
+    start = time.perf_counter()
+    cert = T.check_univalence(t, budget, report=report)
+    assert time.perf_counter() - start < 1.0
+    assert cert.ua == tuple(range(3000))
+    assert budget.spent == 6000
+
+
 def test_induce_identity_is_identity_morphism():
     t = stock_base()["eq_z2"]
     m = T.induce_morphism(t, t, tuple(range(t.term_count)), tuple(range(t.base.path_count)))
@@ -158,6 +182,29 @@ def test_check_square_identity_on_equality_typoid():
     report = T.check_square(collapsed, cert, cert)
     assert [(v.law, v.witness) for v in report.violations] == [("Square", (1,)), ("Square", (3,))]
     assert report.law_counts == {"Square": 2, "SquareEdges": 2}
+
+
+def test_check_square_reports_a_table_of_another_typoid():
+    universe11, eq_z2 = stock_base()["universe11"], stock_base()["eq_z2"]
+    unit_cert = T.check_univalence(T.unit_typoid())
+    report = T.check_square(identity_morphism(universe11), unit_cert)
+    assert report.violations == (T.Violation("Bookkeeping", (), "table has 1 entries for 4 edges"),)
+    assert report.law_counts == {}
+    cert = T.check_univalence(eq_z2)
+    for c_src, witness in (
+        (unit_cert, ()),
+        (UnivalenceCertificate(eq_z2.name, (0, 2)), (1,)),
+    ):
+        report = T.check_square(identity_morphism(eq_z2), cert, c_src)
+        assert [(v.law, v.witness) for v in report.violations] == [("Bookkeeping", witness)]
+        assert report.law_counts == {}
+
+
+def test_induce_refuses_a_path_map_of_other_paths():
+    t = stock_base()["eq_z2"]
+    for path_map in ((0,), (0, 2), (0, -1)):
+        with pytest.raises(ValueError, match="the path map does not send the paths of 'eq_z2'"):
+            T.induce_morphism(t, t, (0,), path_map)
 
 
 def test_check_square_for_induced_morphisms_both_univalent():

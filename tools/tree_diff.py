@@ -26,8 +26,10 @@ single-entry and endpoint-preserving mutants of each; and
 `identity_from_equality` of each stock and `family()` structure and on the
 identity maps between each of them and each of its endpoint-preserving
 mutants, both ways.  Parts: the violations, `law_counts` in order,
-`Budget.spent`, and the outcome at each of LIMITS.  About 2 minutes on
-two cores.
+`Budget.spent`, and the outcome at each of LIMITS; for a typoid that
+validates, also the outcome of `check_univalence` (the table or the
+witness) and `Budget.spent` after it, on the validation's budget.  About
+2 minutes on two cores.
 
 outputs: the generators and every construction on small sizes, the stock
 and `family()` structures and pairs of them, and exponentials at the
@@ -61,7 +63,7 @@ ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("verify-large", "many-small", "construct")
 LIMITS = (10, 100, 1_000, 5_000, 20_000)
 UNBOUNDED = 10**12
-REPORT_PARTS = ("violations", "law_counts", "spent", "limits")
+REPORT_PARTS = ("violations", "law_counts", "spent", "limits", "decision", "decision spent")
 
 
 def _digest(obj) -> str:
@@ -210,7 +212,8 @@ def report_inputs(T, corpus, small_models, workloads):
 
 def report_parts(T, x) -> list[str]:
     """The digest of each part over the validators of a typoid (both) or a
-    morphism (`validate_morphism` with and without `check_base`)."""
+    morphism (`validate_morphism` with and without `check_base`), and over
+    `check_univalence` of a typoid that validates."""
     if isinstance(x, T.TypoidMorphism):
         checks = [lambda b, c=c: T.validate_morphism(x, b, check_base=c) for c in (True, False)]
     else:
@@ -226,8 +229,12 @@ def report_parts(T, x) -> list[str]:
             parts["law_counts"].append(list(report.law_counts.items()))
         parts["spent"].append(budget.spent)
         for limit in LIMITS:
-            report = _attempt(lambda: validate(T.Budget(limit)))
-            parts["limits"].append(report if isinstance(report, str) else "ok")
+            limited = _attempt(lambda: validate(T.Budget(limit)))
+            parts["limits"].append(limited if isinstance(limited, str) else "ok")
+    # `report` and `budget` are the last check's: validate_typoid's for a typoid
+    if isinstance(x, T.Typoid) and not isinstance(report, str) and report.valid:
+        parts["decision"].append(_attempt(lambda: T.check_univalence(x, budget, report=report)))
+        parts["decision spent"].append(budget.spent)
     return [_digest(part) for part in parts.values()]
 
 
