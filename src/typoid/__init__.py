@@ -19,7 +19,6 @@ from .morphisms import (
     check_inverse_law,
     compose_morphisms,
     find_path_functor,
-    identity_from_equality,
     is_strict,
     iter_path_functors,
     validate_morphism,
@@ -44,6 +43,7 @@ from .constructions import (
     discrete_groupoid,
     equality_typoid,
     exponential_typoid,
+    identity_from_equality,
     is_prop,
     morphism_into_truncation,
     pairing,

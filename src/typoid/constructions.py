@@ -16,6 +16,8 @@ composes whole rows with `zip` and `map`, not one Python call per pair.
 from __future__ import annotations
 
 import itertools
+import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -220,6 +222,19 @@ def _equality(g: FiniteGroupoid, name: str) -> Typoid:
     if not _canonical(g.term_count, g.refl):
         g = _groupoid(_units_first(_paths(g))[0])
     return Typoid(name=name, base=g, layer=_layer(_paths(g)), idtoeqv=tuple(range(g.path_count)))
+
+
+def identity_from_equality(t: Typoid) -> TypoidMorphism:
+    """The identity term map as a strict morphism out of the equality typoid
+    over t's base, with the path-to-edge table as its edge action."""
+    return TypoidMorphism(
+        name=f"idtoeqv_{t.name}",
+        source=equality_typoid(t.base, name=f"eq_{t.name}"),
+        target=t,
+        term_map=tuple(range(t.term_count)),
+        path_map=tuple(range(t.base.path_count)),
+        edge_map=t.idtoeqv,
+    )
 
 
 def unit_typoid(name: str = "unit") -> Typoid:
@@ -519,10 +534,19 @@ def exponential_typoid(
                 )
 
     # the families: one search position per term of a; the square over each
-    # edge of a commutes up to cells once both of its ends are chosen
+    # edge of a commutes up to cells once both of its ends are chosen.  b's
+    # edges join exactly the terms of one component (labelled by its least
+    # term), so a family joins only term maps alike on components
+    entering = _out_index(b.layer.edge_dst, b.term_count)
+    component = [min(map(b.layer.edge_src.__getitem__, into)) for into in entering]
+    keys = [tuple(map(component.__getitem__, m.term_map)) for m in terms]
+    alike: dict[tuple[int, ...], list[int]] = {}
+    for j, key in enumerate(keys):
+        alike.setdefault(key, []).append(j)
     families: list[tuple[int, ...]] = []  # (src term, dst term, *theta)
     for i, fm in enumerate(terms):
-        for j, gm in enumerate(terms):
+        for j in alike[keys[i]]:
+            gm = terms[j]
             options = [b.layer.hom(fm.term_map[x], gm.term_map[x]) for x in range(a.term_count)]
             squares = [
                 (
@@ -581,22 +605,11 @@ def universe_typoid(sets: list[int] | tuple[int, ...], name: str = "universe") -
     sets = tuple(sets)
     if any(n < 0 for n in sets):
         raise ValueError("cardinalities must be non-negative")
-    # count the bijections only up to the bound, so a large set costs no
-    # more than a small one before it is refused
-    total = 0
-    for ni in sets:
-        for nj in sets:
-            if ni == nj:
-                f = 1
-                for k in range(2, ni + 1):
-                    f *= k
-                    if total + f > UNIVERSE_MAX_EDGES:
-                        break
-                total += f
-                if total > UNIVERSE_MAX_EDGES:
-                    raise ResourceLimitError(
-                        "universe-size", f"more than {UNIVERSE_MAX_EDGES} bijections needed"
-                    )
+    # k sets of size n have k² · n! bijections among them; n! is capped at
+    # the least factorial past the bound, so a large set is refused at once
+    cap = next(n for n in itertools.count() if math.factorial(n) > UNIVERSE_MAX_EDGES)
+    if sum(k * k * math.factorial(min(n, cap)) for n, k in Counter(sets).items()) > UNIVERSE_MAX_EDGES:
+        raise ResourceLimitError("universe-size", f"more than {UNIVERSE_MAX_EDGES} bijections needed")
 
     # a bijection is keyed (source set, target set, permutation)
     perms = [

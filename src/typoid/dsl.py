@@ -516,28 +516,11 @@ def _assemble(
     return ParseResult(document=Document(entries=entries), diagnostics=ordered)
 
 
-class _Syntax(NamedTuple):
-    """What the text format adds to a level's words: the arrow of its
-    declarations, the operator of its composition rows, its inverse
-    keyword, and the clause an E104 gets for a pair that does not compose
-    (formatted with both names and the terms where they part)."""
-
-    arrow: str
-    op: str
-    inv: str
-    apart: str
-
-
-_PATH_SYNTAX = _Syntax("->", ".", "pinv", ": {0!r} ends at {1!r} but {2!r} starts at {3!r}")
-_EDGE_SYNTAX = _Syntax("~", "*", "einv", "")
-
-
 class _Ids(NamedTuple):
     """A level under assembly: the id, name and endpoints of each path or
     edge declared so far.  The unit of term x is id x."""
 
     words: _Words
-    syntax: _Syntax
     ids: dict[str, int]
     names: list[str]
     src: list[int]
@@ -597,23 +580,21 @@ def _assemble_typoid(
     def compose(level: _Ids, absorbing) -> dict[tuple[int, int], int]:
         """A level's composition rows (E103, E104, E106), then the rows in
         which the unit of an `absorbing` term absorbs; E105 for the rest."""
-        item, keyword = level.words.item, level.words.comp
-        op, apart = level.syntax.op, level.syntax.apart
-        ids, src, dst = level.ids, level.src, level.dst
+        w, ids, src, dst = level.words, level.ids, level.src, level.dst
         table: dict[tuple[int, int], int] = {}
-        for row in raw.rows[keyword]:
+        for row in raw.rows[w.comp]:
             xn, yn, zn, at = row
             try:
                 x, y, z = ids[xn], ids[yn], ids[zn]
             except KeyError:
-                unknown(ids, row, item)
+                unknown(ids, row, w.item)
                 continue
             if dst[x] != src[y]:
-                where = apart.format(xn, term_names[dst[x]], yn, term_names[src[y]])
-                error(locate(at, 2), E_ENDPOINTS, f"{item}s {xn!r} and {yn!r} do not compose{where}")
+                where = w.apart.format(xn, term_names[dst[x]], yn, term_names[src[y]])
+                error(locate(at, 2), E_ENDPOINTS, f"{w.item}s {xn!r} and {yn!r} do not compose{where}")
                 continue
             if (x, y) in table:
-                error(locate(at, 1), E_CONFLICT, f"{keyword} of {xn!r} and {yn!r} declared twice")
+                error(locate(at, 1), E_CONFLICT, f"{w.comp} of {xn!r} and {yn!r} declared twice")
                 continue
             table[(x, y)] = z
         for q in range(len(src)):
@@ -629,12 +610,12 @@ def _assemble_typoid(
         for x, y in islice(pairs, min(missing, _MISSING_SHOWN)):
             error(
                 span, E_MISSING,
-                f"missing {keyword} entry for {names[x]!r} {op} {names[y]!r} in typoid {raw.name!r}",
+                f"missing {w.comp} entry for {names[x]!r} {w.op} {names[y]!r} in typoid {raw.name!r}",
             )
         if missing > _MISSING_SHOWN:
             error(
                 span, E_MISSING,
-                f"{missing - _MISSING_SHOWN} more missing {keyword} entries in typoid {raw.name!r}",
+                f"{missing - _MISSING_SHOWN} more missing {w.comp} entries in typoid {raw.name!r}",
             )
         return table
 
@@ -661,7 +642,7 @@ def _assemble_typoid(
         return tuple(table.get(i, i) for i in range(len(level.names)))
 
     # paths: refl first, then declarations
-    paths = _Ids(_PATH_WORDS, _PATH_SYNTAX, {}, [], [], [])
+    paths = _Ids(_PATH_WORDS, {}, [], [], [])
     for x, name in enumerate(term_names):
         paths.add(f"refl_{name}", x, x)
     for name, (src, dst, _) in declared("path", paths.ids).items():
@@ -683,7 +664,7 @@ def _assemble_typoid(
         override_edge[a] = row[1:]
     declared_edges = declared("edge", ())
 
-    edges = _Ids(_EDGE_WORDS, _EDGE_SYNTAX, {}, [], [], [])
+    edges = _Ids(_EDGE_WORDS, {}, [], [], [])
     implicit_eqv: set[int] = set()
     for x, name in enumerate(term_names):
         if x in override_edge:
@@ -902,8 +883,8 @@ def _serialize_typoid(entry: TypoidEntry) -> str:
     tn, pn, en = entry.term_names, entry.path_names, entry.edge_names
     lines = [f"typoid {t.name} {{"]
     lines.append(f"  terms {' '.join(tn)} ;" if n else "  terms ;")
-    _write_level(lines, _PATH_SYNTAX, _paths(base), pn, tn)
-    _write_level(lines, _EDGE_SYNTAX, _edges(layer), en, tn)
+    _write_level(lines, _paths(base), pn, tn)
+    _write_level(lines, _edges(layer), en, tn)
     for e in range(layer.edge_count):
         if layer.cell[e] != e:
             lines.append(f"  cell {en[e]} == {en[layer.cell[e]]} ;")
@@ -915,11 +896,11 @@ def _serialize_typoid(entry: TypoidEntry) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write_level(lines: list[str], syntax: _Syntax, level: _Level, names, term_names) -> None:
+def _write_level(lines: list[str], level: _Level, names, term_names) -> None:
     """The declarations, composition rows and inverse rows of a level in
     canonical layout, minus the unit rows the parser fills in."""
-    item, comp = level.words.item, level.words.comp
-    arrow, op, inv, _ = syntax
+    w = level.words
+    item, comp, arrow, op, inv = w.item, w.comp, w.arrow, w.op, w.inv_row
     n = level.term_count  # the units are ids 0..n-1
     src, dst, table = level.src, level.dst, level.table
     for i in range(n, len(src)):

@@ -354,9 +354,11 @@ def _generators(
 
 
 class _Words(NamedTuple):
-    """How a level names its tables and words its law violations.  The unit
-    and inverse templates get the id checked and the composite found; the
-    associativity template gets p, q, r and both bracketings."""
+    """What a level is called by the checker, the morphism laws and the
+    text format.  Templates get the id checked and the composite found
+    (units, inverses), p, q, r and both bracketings (associativity), or the
+    term or pair (a morphism's laws); the E104 clause `apart` gets both
+    names and the terms where a pair does not compose."""
 
     item: str
     unit: str
@@ -365,6 +367,11 @@ class _Words(NamedTuple):
     laws: tuple[str, str, str]  # unit laws, inverse laws, associativity
     units: tuple[str, str, str, str]  # left and right unit, forward and backward inverse
     assoc: str
+    functor: tuple[str, str, str, str]  # a morphism's unit law, its wording, composition law, its wording
+    arrow: str  # text: declaration arrow, composition operator, inverse row keyword
+    op: str
+    inv_row: str
+    apart: str
 
 
 _PATH_WORDS = _Words(
@@ -376,6 +383,9 @@ _PATH_WORDS = _Words(
         "comp(inv {0}, {0}) = {1} is not refl",
     ),
     assoc="comp(comp({0},{1}),{2}) = {3} but comp({0},comp({1},{2})) = {4}",
+    functor=("ApFunctor", "refl of term {0} must map to refl of its image",
+             "ApFunctor", "image of comp({0},{1}) is not the comp of the images"),
+    arrow="->", op=".", inv_row="pinv", apart=": {0!r} ends at {1!r} but {2!r} starts at {3!r}",
 )
 _EDGE_WORDS = _Words(
     "edge", "eqv", "star", "einv", ("Typ1", "Typ2", "Typ3"),
@@ -386,6 +396,9 @@ _EDGE_WORDS = _Words(
         "star(einv {0}, {0}) = {1} is not in the cell of eqv",
     ),
     assoc="star(star({0},{1}),{2}) and star({0},star({1},{2})) are in different cells",
+    functor=("UnitPres", "image of eqv at term {0} is not in the cell of eqv",
+             "CompPres", "image of star({0},{1}) is not in the cell of the star of the images"),
+    arrow="~", op="*", inv_row="einv", apart="",
 )
 
 

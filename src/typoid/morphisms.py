@@ -27,15 +27,6 @@ class TypoidMorphism:
     edge_map: tuple[int, ...]
 
 
-# each level's unit law and composition law, each followed by its wording
-_FUNCTOR_LAWS = {
-    "path": ("ApFunctor", "refl of term {0} must map to refl of its image",
-             "ApFunctor", "image of comp({0},{1}) is not the comp of the images"),
-    "edge": ("UnitPres", "image of eqv at term {0} is not in the cell of eqv",
-             "CompPres", "image of star({0},{1}) is not in the cell of the star of the images"),
-}
-
-
 def validate_morphism(
     m: TypoidMorphism, budget: Budget | None = None, check_base: bool = True
 ) -> ValidationReport:
@@ -88,7 +79,7 @@ def validate_morphism(
         return ValidationReport.collect(violations, counts)
 
     for table, s, d in levels[not check_base:]:
-        unit_law, unit_detail, comp_law, comp_detail = _FUNCTOR_LAWS[s.words.item]
+        unit_law, unit_detail, comp_law, comp_detail = s.words.functor
         dcell = d.cell
         for x, y in enumerate(m.term_map):
             if dcell[table[s.unit[x]]] != dcell[d.unit[y]]:
@@ -164,21 +155,6 @@ def identity_morphism(t: Typoid) -> TypoidMorphism:
         term_map=tuple(range(t.term_count)),
         path_map=tuple(range(t.base.path_count)),
         edge_map=tuple(range(t.layer.edge_count)),
-    )
-
-
-def identity_from_equality(t: Typoid) -> TypoidMorphism:
-    """The identity term map as a strict morphism out of the equality typoid
-    over t's base, with the path-to-edge table as its edge action."""
-    from .constructions import equality_typoid
-
-    return TypoidMorphism(
-        name=f"idtoeqv_{t.name}",
-        source=equality_typoid(t.base, name=f"eq_{t.name}"),
-        target=t,
-        term_map=tuple(range(t.term_count)),
-        path_map=tuple(range(t.base.path_count)),
-        edge_map=t.idtoeqv,
     )
 
 

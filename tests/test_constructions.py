@@ -395,6 +395,17 @@ def test_exponential_limit_on_a_large_pair_raises_at_once():
     assert time.perf_counter() - start < 5.0
 
 
+def test_exponential_into_a_disconnected_target_searches_only_pairs_of_like_term_maps():
+    # 1,024 term maps into two components, each joined only to itself; a
+    # search over all ordered pairs of terms takes seconds
+    a, b = (T.equality_typoid(T.discrete_groupoid(n)) for n in (10, 2))
+    start = time.perf_counter()
+    exp, prov = T.exponential_typoid(a, b, T.ExponentialLimits(max_terms=4096, max_edges=65536))
+    assert time.perf_counter() - start < 1.0
+    assert (exp.term_count, exp.layer.edge_count) == (1024, 1024)
+    assert all(fam.src_term == fam.dst_term for fam in prov.edges)
+
+
 def test_a_layer_with_more_composable_pairs_than_the_budget_is_refused_unbuilt(monkeypatch):
     # eq(codiscrete 2) into one term with a three-edge cell: 81 terms and
     # 59,049 families, so about 43 million composable pairs
@@ -482,10 +493,23 @@ def test_universe_with_empty_set():
     assert isinstance(T.check_univalence(u), UnivalenceCertificate)
 
 
-def test_universe_size_bound():
-    with pytest.raises(T.ResourceLimitError) as exc:
-        T.universe_typoid([7])
-    assert exc.value.bound == "universe-size"
+def test_universe_size_bound(monkeypatch):
+    # k sets of size n have k² · n! bijections among them
+    for sets in ([7], [2] * 51, [1] * 71, [3] * 29, [5] * 6 + [6], [10**9]):
+        start = time.perf_counter()
+        with pytest.raises(T.ResourceLimitError) as exc:
+            T.universe_typoid(sets)
+        assert exc.value.bound == "universe-size"
+        assert time.perf_counter() - start < 0.5, sets
+    for sets, edges in (([3] * 9, 486), ([1, 1, 2, 2, 3] * 5, 450)):
+        assert T.universe_typoid(sets).layer.edge_count == edges
+    # on both sides of a lower bound: 49 and 50 bijections pass, 64 and 72 do not
+    monkeypatch.setattr(T.constructions, "UNIVERSE_MAX_EDGES", 50)
+    for sets, edges in (([1] * 7, 49), ([2] * 5, 50), ([4, 1, 1, 1], 33)):
+        assert T.universe_typoid(sets).layer.edge_count == edges
+    for sets in ([1] * 8, [2] * 6, [5], [4, 4]):
+        with pytest.raises(T.ResourceLimitError):
+            T.universe_typoid(sets)
 
 
 def test_generators_refuse_sizes_out_of_range():

@@ -44,3 +44,18 @@ def test_only_the_model_reads_the_environment():
         or (isinstance(node, ast.alias) and node.name in ("environ", "getenv"))
     }
     assert readers == {"model.py"}
+
+
+def test_library_modules_import_only_at_module_level():
+    # the modules import one another in one chain, model <- morphisms <-
+    # constructions <- {dsl, univalence} <- cli, which a deferred import
+    # inside a function would hide; the tools import each tree per run
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in LIBRARY
+        for function in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(function)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    ]
+    assert found == []

@@ -34,11 +34,12 @@ witness) and `Budget.spent` after it, on the validation's budget.  About
 outputs: the generators and every construction on small sizes, the stock
 and `family()` structures and pairs of them, and exponentials at the
 `construct` workload's limits (the default limits refuse most family
-pairs), into `twoedge_typoid` and into a fat cell among them.  For each
-product of `stock_products()`, also whether each projection and their
-pairing pass `validate_morphism`, with the law counts, and each pointed
-factor certificate's table with whether `verify_certificate` passes it,
-as plain values.  Parts: the `repr` of each output (or raised exception),
+pairs), into `twoedge_typoid`, into a fat cell among them, and from many
+term maps into a disconnected target.  For each product of
+`stock_products()`, also whether each projection and their pairing pass
+`validate_morphism`, with the law counts, and each pointed factor
+certificate's table with whether `verify_certificate` passes it, as plain
+values.  Parts: the `repr` of each output (or raised exception),
 and that of a copy with sorted dicts; a row whose sorted copies agree is
 equal up to dict order, not different.  About 30 s on two cores.
 """
@@ -332,6 +333,7 @@ def outputs(T, corpus, small_models):
     wide = [
         ("eq(codiscrete 3) -> eq(codiscrete 3)", cod3, cod3),
         ("eq(Z4) -> eq(Z8)", eq(T.cyclic_groupoid(4)), eq(T.cyclic_groupoid(8))),
+        ("eq(discrete 6) -> eq(discrete 2)", eq(T.discrete_groupoid(6)), eq(T.discrete_groupoid(2))),
         *((f"{na} -> {nb}", a, b) for nb, b in targets.items() for na, a in sources.items()),
     ]
     limits = T.ExponentialLimits(max_terms=4096, max_edges=65536)
