@@ -30,7 +30,7 @@ from .constructions import (
     univalent_completion,
     universe_typoid,
 )
-from .dsl import Document, TypoidEntry, document_for, parse, serialize
+from .dsl import Document, TypoidEntry, document_for, parse, serialize_to
 from .model import Budget, ResourceLimitError, Typoid, ValidationReport, validate_typoid
 from .morphisms import TypoidMorphism, validate_morphism
 from .univalence import NotUnivalent, NotUnivalentError, check_univalence, induce_morphism
@@ -166,14 +166,13 @@ def _typoids(args, *names: str | None) -> list[Typoid]:
 
 def _write_construction(out: str, t: Typoid, provenance: dict) -> dict:
     """Write `t` to `out` and its provenance beside it; the `ok` report."""
-    files = {
-        out: serialize(document_for([t])),
-        out + ".prov.json": json.dumps(provenance, sort_keys=True, indent=2) + "\n",
-    }
+    doc, sidecar = document_for([t]), json.dumps(provenance, sort_keys=True, indent=2) + "\n"
+    files = {out: lambda f: serialize_to(doc, f.write), out + ".prov.json": lambda f: f.write(sidecar)}
     written: list[Path] = []
-    for path, text in files.items():
+    for path, write in files.items():
         try:
-            Path(path).write_text(text, encoding="utf-8")
+            with Path(path).open("w", encoding="utf-8") as f:
+                write(f)
         except OSError as exc:
             for done in written:  # leave no file without its sidecar
                 done.unlink(missing_ok=True)

@@ -123,27 +123,6 @@ class Document:
     def morphism_entries(self) -> dict[str, MorphismEntry]:
         return {e.name: e for e in self.entries if isinstance(e, MorphismEntry)}
 
-    def structurally_equal(self, other: "Document") -> bool:
-        if len(self.entries) != len(other.entries):
-            return False
-        for mine, theirs in zip(self.entries, other.entries):
-            if type(mine) is not type(theirs) or mine.name != theirs.name:
-                return False
-            if isinstance(mine, TypoidEntry):
-                if not mine.typoid.same_structure(theirs.typoid):
-                    return False
-            else:
-                m, o = mine.morphism, theirs.morphism
-                if (
-                    m.term_map != o.term_map
-                    or m.path_map != o.path_map
-                    or m.edge_map != o.edge_map
-                    or mine.source_name != theirs.source_name
-                    or mine.target_name != theirs.target_name
-                ):
-                    return False
-        return True
-
 
 @dataclass(frozen=True)
 class ParseResult:
@@ -858,6 +837,9 @@ def document_for(
     return Document(entries=tuple(entries))
 
 
+_PIECE_LINES = 8192  # the most lines of text one piece holds
+
+
 def serialize(doc: Document) -> str:
     """Canonical text: implicit refl and eqv names, full tables minus the
     rows the parser materializes, statements in id order.
@@ -865,26 +847,44 @@ def serialize(doc: Document) -> str:
     parse(serialize(doc)) is structurally equal to doc for documents whose
     typoids are in canonical id layout (all parsed and constructed ones are).
     """
-    chunks: list[str] = []
-    for entry in doc.entries:
+    pieces: list[str] = []
+    serialize_to(doc, pieces.append)
+    return "".join(pieces)
+
+
+def serialize_to(doc: Document, emit: Callable[[str], object]) -> None:
+    """Pass the text of `serialize(doc)` to `emit`, such as an open file's
+    `write`, in pieces of at most `_PIECE_LINES` lines.  Composition rows,
+    the one part that grows with pairs rather than ids, are made a slice of
+    sorted keys at a time."""
+    lines: list[str] = []
+    for k, entry in enumerate(doc.entries):
+        if k:
+            lines.append("")  # a blank line between entries
         if isinstance(entry, TypoidEntry):
-            chunks.append(_serialize_typoid(entry))
+            _write_typoid(lines, entry, emit)
         else:
-            chunks.append(_serialize_morphism(entry, doc))
-    return "\n".join(chunks)
+            _write_morphism(lines, entry, doc, emit)
+    if lines:  # fewer than a piece's lines are left
+        emit("\n".join(lines) + "\n")
 
 
-def _serialize_typoid(entry: TypoidEntry) -> str:
+def _spill(lines: list[str], emit) -> None:
+    """Pass `lines` on in pieces of `_PIECE_LINES` while that many are held."""
+    while len(lines) >= _PIECE_LINES:
+        emit("\n".join(lines[:_PIECE_LINES]) + "\n")
+        del lines[:_PIECE_LINES]
+
+
+def _write_typoid(lines: list[str], entry: TypoidEntry, emit) -> None:
     t = entry.typoid
-    base, layer = t.base, t.layer
-    n = t.term_count
+    base, layer, n = t.base, t.layer, t.term_count
     if not _canonical(n, base.refl, layer.eqv):
         raise ValueError(f"typoid {t.name!r} is not in canonical id layout; use document_for")
     tn, pn, en = entry.term_names, entry.path_names, entry.edge_names
-    lines = [f"typoid {t.name} {{"]
-    lines.append(f"  terms {' '.join(tn)} ;" if n else "  terms ;")
-    _write_level(lines, _paths(base), pn, tn)
-    _write_level(lines, _edges(layer), en, tn)
+    lines += (f"typoid {t.name} {{", f"  terms {' '.join(tn)} ;" if n else "  terms ;")
+    _write_level(lines, _paths(base), pn, tn, emit)
+    _write_level(lines, _edges(layer), en, tn, emit)
     for e in range(layer.edge_count):
         if layer.cell[e] != e:
             lines.append(f"  cell {en[e]} == {en[layer.cell[e]]} ;")
@@ -893,10 +893,10 @@ def _serialize_typoid(entry: TypoidEntry) -> str:
             continue
         lines.append(f"  idtoeqv {pn[p]} => {en[t.idtoeqv[p]]} ;")
     lines.append("}")
-    return "\n".join(lines) + "\n"
+    _spill(lines, emit)
 
 
-def _write_level(lines: list[str], level: _Level, names, term_names) -> None:
+def _write_level(lines: list[str], level: _Level, names, term_names, emit) -> None:
     """The declarations, composition rows and inverse rows of a level in
     canonical layout, minus the unit rows the parser fills in."""
     w = level.words
@@ -905,11 +905,14 @@ def _write_level(lines: list[str], level: _Level, names, term_names) -> None:
     src, dst, table = level.src, level.dst, level.table
     for i in range(n, len(src)):
         lines.append(f"  {item} {names[i]} : {term_names[src[i]]} {arrow} {term_names[dst[i]]} ;")
-    for (p, q) in sorted(table):
-        r = table[(p, q)]
-        if (p < n and r == q) or (q < n and r == p):
-            continue
-        lines.append(f"  {comp} {names[p]} {op} {names[q]} = {names[r]} ;")
+    keys = sorted(table)
+    for start in range(0, len(keys), _PIECE_LINES):
+        _spill(lines, emit)
+        for (p, q) in keys[start:start + _PIECE_LINES]:
+            r = table[(p, q)]
+            if (p < n and r == q) or (q < n and r == p):
+                continue
+            lines.append(f"  {comp} {names[p]} {op} {names[q]} = {names[r]} ;")
     for i in range(len(src)):
         j = level.inv[i]
         if i < n and j == i:
@@ -917,13 +920,11 @@ def _write_level(lines: list[str], level: _Level, names, term_names) -> None:
         lines.append(f"  {inv} {names[i]} = {names[j]} ;")
 
 
-def _serialize_morphism(entry: MorphismEntry, doc: Document) -> str:
-    m = entry.morphism
-    typoids = doc.typoid_entries()
-    src_entry = typoids[entry.source_name]
-    dst_entry = typoids[entry.target_name]
+def _write_morphism(lines: list[str], entry: MorphismEntry, doc: Document, emit) -> None:
+    m, typoids = entry.morphism, doc.typoid_entries()
+    src_entry, dst_entry = typoids[entry.source_name], typoids[entry.target_name]
     src, dst = m.source, m.target
-    lines = [f"morphism {m.name} : {entry.source_name} -> {entry.target_name} {{"]
+    lines.append(f"morphism {m.name} : {entry.source_name} -> {entry.target_name} {{")
     for x in range(src.term_count):
         lines.append(f"  term {src_entry.term_names[x]} |-> {dst_entry.term_names[m.term_map[x]]} ;")
     # the rows of refl paths and eqv edges that send units to units are implicit
@@ -936,4 +937,4 @@ def _serialize_morphism(entry: MorphismEntry, doc: Document) -> str:
                 continue
             lines.append(f"  {what} {src_names[i]} |-> {dst_names[table[i]]} ;")
     lines.append("}")
-    return "\n".join(lines) + "\n"
+    _spill(lines, emit)

@@ -21,6 +21,7 @@ from typoid.constructions import (
     ProductProvenance,
     _renumber,
 )
+from typoid.dsl import Document, TypoidEntry
 from typoid.model import (
     EquivalenceLayer,
     FiniteGroupoid,
@@ -720,3 +721,33 @@ def naive_product(a: Typoid, b: Typoid, name: str | None = None) -> tuple[Typoid
         for p2 in range(pb):
             split_path[pmap[pid(p1, p2)]] = (p1, p2)
     return out, ProductProvenance(factors=(a, b), split_edge=tuple(split_edge), split_path=tuple(split_path))
+
+
+# ---------------------------------------------------------------------------
+# documents
+
+
+
+def structurally_equal(doc: Document, other: Document) -> bool:
+    """Same entries in the same order: names, structures, morphism maps and
+    endpoint names; spans and the names of terms, paths and edges do not
+    count."""
+    if len(doc.entries) != len(other.entries):
+        return False
+    for mine, theirs in zip(doc.entries, other.entries):
+        if type(mine) is not type(theirs) or mine.name != theirs.name:
+            return False
+        if isinstance(mine, TypoidEntry):
+            if not mine.typoid.same_structure(theirs.typoid):
+                return False
+        else:
+            m, o = mine.morphism, theirs.morphism
+            if (
+                m.term_map != o.term_map
+                or m.path_map != o.path_map
+                or m.edge_map != o.edge_map
+                or mine.source_name != theirs.source_name
+                or mine.target_name != theirs.target_name
+            ):
+                return False
+    return True

@@ -15,7 +15,7 @@ from typoid.morphisms import identity_morphism
 from typoid.univalence import UnivalenceCertificate
 
 from corpus import full_stock, stock_base, stock_products, stock_truncations, univalent_stock
-from small_models import family, oracle_search
+from small_models import family, oracle_search, structurally_equal
 
 
 @contextmanager
@@ -244,14 +244,14 @@ def test_criterion_10_dsl_round_trip_and_cli_scenarios(tmp_path, capsys):
             doc = document_for([t])
             result = parse(serialize(doc))
             assert result.ok, name
-            assert result.document.structurally_equal(doc), name
+            assert structurally_equal(result.document, doc), name
 
         prod, prov = stock_products()["prod_eq_z2_bool_disc"]
         a, b = prov.factors
         pr1, pr2 = T.projections(prod, prov)
         doc = document_for([prod, a, b], [pr1, pr2])
         result = parse(serialize(doc))
-        assert result.ok and result.document.structurally_equal(doc)
+        assert result.ok and structurally_equal(result.document, doc)
 
         unit_file = tmp_path / "unit.typoid"
         unit_file.write_text("typoid U {\n  terms x ;\n}\n")

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import re
 import time
+import tracemalloc
 from functools import lru_cache
 
 from hypothesis import HealthCheck, given, settings
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 import typoid as T
 from typoid import cli
-from typoid.dsl import _MISSING_SHOWN, _TYPOID_STATEMENTS, document_for, parse, serialize
+from typoid.dsl import _MISSING_SHOWN, _TYPOID_STATEMENTS, document_for, parse, serialize, serialize_to
 from typoid.model import Budget, validate_typoid
 from typoid.morphisms import identity_morphism, validate_morphism
 
@@ -368,6 +369,27 @@ def test_unwritable_sidecar_leaves_no_file_behind(tmp_path, capsys):
     assert code == 2
     assert report["violations"][0]["message"].startswith(f"cannot write {out}.prov.json: ")
     assert [p.name for p in tmp_path.iterdir()] == ["o.typoid.prov.json"]
+
+
+def test_writing_a_construction_holds_one_piece_of_its_text(tmp_path):
+    # eq(Z6) -> eq(Z6) is 2.7 MB of text; built as one string before it was
+    # written, the write peaked at 12.9 MB under tracemalloc
+    eq6 = T.equality_typoid(T.cyclic_groupoid(6))
+    exp, _ = T.exponential_typoid(eq6, eq6, T.ExponentialLimits(max_terms=4096, max_edges=65536))
+    assert (exp.term_count, exp.base.path_count, exp.layer.edge_count) == (36, 1296, 1296)
+    text = serialize(document_for([exp]))
+    pieces: list[str] = []
+    serialize_to(document_for([exp]), pieces.append)
+    assert len(pieces) > 10
+    out = tmp_path / "exp.typoid"
+    tracemalloc.start()
+    try:
+        cli._write_construction(str(out), exp, {"kind": "exponential"})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.read_bytes() == text.encode("utf-8")
+    assert peak < 4 * 2**20
 
 
 def test_negative_exp_bounds_are_input_errors(tmp_path, capsys):

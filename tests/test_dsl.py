@@ -26,7 +26,7 @@ from typoid.dsl import (
 )
 
 from corpus import full_stock, stock_products
-from small_models import family
+from small_models import family, structurally_equal
 
 Z2_SOURCE = """\
 typoid Z2 {
@@ -200,7 +200,7 @@ def test_serialize_parse_fixed_point_for_canonical_sources():
         text = serialize(first.document)
         second = parse(text)
         assert second.ok
-        assert second.document.structurally_equal(first.document)
+        assert structurally_equal(second.document, first.document)
         assert serialize(second.document) == text
 
 
@@ -209,7 +209,7 @@ def test_round_trip_every_stock_structure():
         doc = document_for([t])
         result = parse(serialize(doc))
         assert result.ok, (name, result.diagnostics[:3])
-        assert result.document.structurally_equal(doc), name
+        assert structurally_equal(result.document, doc), name
 
 
 def test_round_trip_morphisms():
@@ -219,7 +219,7 @@ def test_round_trip_morphisms():
     doc = document_for([prod, a, b], [pr1, pr2])
     result = parse(serialize(doc))
     assert result.ok, result.diagnostics[:3]
-    assert result.document.structurally_equal(doc)
+    assert structurally_equal(result.document, doc)
     parsed = result.document.morphism_entries()["pr1"].morphism
     assert parsed.term_map == pr1.term_map
     assert parsed.path_map == pr1.path_map
@@ -242,7 +242,30 @@ def test_round_trip_preserves_non_default_absorption_rows():
     assert "star u * eqv_x = u ;" not in text  # default rows stay implicit
     again = parse(text)
     assert again.ok
-    assert again.document.structurally_equal(result.document)
+    assert structurally_equal(again.document, result.document)
+
+
+def test_pieces_of_any_size_join_to_the_same_text(monkeypatch):
+    eq6 = T.equality_typoid(T.cyclic_groupoid(6))
+    trunc = T.truncate(T.product_typoid(eq6, eq6)[0])  # its edge level writes no rows
+    into_trunc = T.identity_from_equality(trunc)
+    prod, prov = stock_products()["prod_eq_z2_universe2"]
+    docs = [document_for([t]) for t in family()]
+    docs += [
+        document_for([prod, *prov.factors], T.projections(prod, prov)),
+        document_for([into_trunc.source, trunc], [into_trunc]),
+        document_for([trunc]),
+    ]
+    texts = [serialize(doc) for doc in docs]
+    assert not any(word in texts[-1] for word in ("edge ", "star ", "einv "))
+    for size in (1, 7):
+        monkeypatch.setattr(dsl, "_PIECE_LINES", size)
+        for doc, text in zip(docs, texts):
+            pieces: list[str] = []
+            dsl.serialize_to(doc, pieces.append)
+            assert "".join(pieces) == text
+            assert [piece.count("\n") for piece in pieces[:-1]] == [size] * (len(pieces) - 1)
+            assert 1 <= pieces[-1].count("\n") <= size
 
 
 def test_lexical_error_reported_with_position():
@@ -259,7 +282,7 @@ def test_empty_typoid_expressible_and_round_trips():
     assert T.validate_typoid(t).valid
     text = serialize(result.document)
     again = parse(text)
-    assert again.ok and again.document.structurally_equal(result.document)
+    assert again.ok and structurally_equal(again.document, result.document)
 
 
 def test_missing_terms_statement_diagnosed():
@@ -441,7 +464,7 @@ def _same_as_token_parser(text: str) -> None:
     assert fast.ok == reference.ok
     assert fast.diagnostics == reference.diagnostics
     if fast.ok:
-        assert fast.document.structurally_equal(reference.document)
+        assert structurally_equal(fast.document, reference.document)
         for mine, theirs in zip(fast.document.entries, reference.document.entries):
             assert mine.span == theirs.span
             if isinstance(mine, dsl.TypoidEntry):
