@@ -9,17 +9,13 @@ from .model import (
     Typoid,
     ValidationReport,
     Violation,
-    cells_equal,
-    derived_laws,
     validate_groupoid,
     validate_typoid,
 )
 from .morphisms import (
     TypoidMorphism,
-    check_inverse_law,
     compose_morphisms,
     find_path_functor,
-    is_strict,
     iter_path_functors,
     validate_morphism,
 )

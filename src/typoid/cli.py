@@ -44,20 +44,10 @@ L_CODES = {
     "Typ3": "L103",
     "Typ4": "L104",
     "IdtoEqv": "L105",
-    "DerivedUnitInv": "L111",
-    "DerivedDoubleInv": "L112",
-    "DerivedInvCong": "L113",
     "ApFunctor": "L201",
     "UnitPres": "L202",
     "CompPres": "L203",
     "CellPres": "L204",
-    "InvPres": "L205",
-    "RoundTrip1": "L301",
-    "RoundTrip2": "L302",
-    "UaCong": "L303",
-    "Strictness": "L304",
-    "Square": "L305",
-    "SquareEdges": "L306",
 }
 
 # the exit code of each report result

@@ -48,7 +48,7 @@ class Budget:
     def __init__(self, limit: int | None = None):
         if limit is None:
             raw = os.environ.get("TYPOID_MAX_CHECKS", "")
-            limit = int(raw) if raw.isdigit() else DEFAULT_MAX_CHECKS
+            limit = int(raw) if raw.isdecimal() else DEFAULT_MAX_CHECKS
         self.limit = limit
         self.spent = 0
 
@@ -155,14 +155,6 @@ class EquivalenceLayer(_HomIndex):
             out.setdefault(self.cell[e], []).append(e)
         return {k: tuple(v) for k, v in out.items()}
 
-    def hom_classes(self, x: int, y: int) -> tuple[int, ...]:
-        seen: list[int] = []
-        for e in self.hom(x, y):
-            r = self.cell[e]
-            if r not in seen:
-                seen.append(r)
-        return tuple(seen)
-
 
 @dataclass(frozen=True)
 class Typoid:
@@ -213,18 +205,6 @@ class CellPartition:
 
     def labels(self) -> dict[int, int]:
         return {m: self.find(m) for m in self._parent}
-
-
-def cells_equal(t: Typoid, e: int, d: int) -> bool:
-    """True iff the two edges lie in the same cell of the same hom-set."""
-    layer = t.layer
-    if not (0 <= e < layer.edge_count and 0 <= d < layer.edge_count):
-        raise ValueError(f"edge id out of range: {e}, {d}")
-    if (layer.edge_src[e], layer.edge_dst[e]) != (layer.edge_src[d], layer.edge_dst[d]):
-        raise ValueError(
-            f"edges {e} and {d} live in different hom-sets; cells only relate parallel edges"
-        )
-    return layer.cell[e] == layer.cell[d]
 
 
 def _ids_in_range(ids: Sequence[int] | set[int], count: int) -> bool:
@@ -719,51 +699,3 @@ def _constant_on_cells(
         for e, k in zip(members, keys):
             bad += (Violation(law, (e, d), detail.format(e, d)) for d, j in zip(members, keys) if j != k)
     return count, bad
-
-
-def derived_laws(t: Typoid, budget: Budget | None = None) -> ValidationReport:
-    """Consequence laws of einv: unit inverses stay in the unit cell, double
-    inversion lands back in the original cell, and inversion respects cells.
-
-    These follow from Typ1..Typ4, so they hold for every structure accepted
-    by validate_typoid; a violation means validation was skipped.  A layer
-    whose tables cannot be read gets its Bookkeeping violations instead.
-    """
-    budget = budget or Budget()
-    layer = t.layer
-    cell = layer.cell
-    violations: list[Violation] = []
-    counts: dict[str, int] = {}
-    if _malformed(_edges(layer), violations):
-        return ValidationReport.collect(violations, counts)
-
-    unit = 0
-    for x in range(layer.term_count):
-        unit += 1
-        e = layer.eqv[x]
-        if cell[layer.einv[e]] != cell[e]:
-            violations.append(
-                Violation("DerivedUnitInv", (x,), f"einv(eqv of term {x}) left the cell of eqv")
-            )
-    counts["DerivedUnitInv"] = unit
-
-    double = 0
-    for e in range(layer.edge_count):
-        double += 1
-        if cell[layer.einv[layer.einv[e]]] != cell[e]:
-            violations.append(
-                Violation("DerivedDoubleInv", (e,), f"einv(einv({e})) left the cell of {e}")
-            )
-    counts["DerivedDoubleInv"] = double
-
-    cong, bad = _constant_on_cells(
-        layer,
-        [cell[layer.einv[e]] for e in range(layer.edge_count)],
-        "DerivedInvCong",
-        "{0} and {1} share a cell but their einv images do not",
-    )
-    violations += bad
-    counts["DerivedInvCong"] = cong
-    budget.spend(unit + double + cong)
-
-    return ValidationReport.collect(violations, counts)

@@ -103,34 +103,6 @@ def validate_morphism(
     return ValidationReport.collect(violations, counts)
 
 
-def is_strict(m: TypoidMorphism) -> bool:
-    """True iff designated eqv edges map to designated eqv edges on the nose."""
-    return all(
-        m.edge_map[m.source.layer.eqv[x]] == m.target.layer.eqv[m.term_map[x]]
-        for x in range(m.source.term_count)
-    )
-
-
-def check_inverse_law(m: TypoidMorphism, budget: Budget | None = None) -> ValidationReport:
-    """Edge inversion commutes with the edge map up to cells.
-
-    This is a consequence of the morphism laws, so it holds for every map
-    accepted by validate_morphism.
-    """
-    budget = budget or Budget()
-    src, dst = m.source, m.target
-    dcell = dst.layer.cell
-    violations: list[Violation] = []
-    n = src.layer.edge_count
-    for e in range(n):
-        if dcell[m.edge_map[src.layer.einv[e]]] != dcell[dst.layer.einv[m.edge_map[e]]]:
-            violations.append(
-                Violation("InvPres", (e,), f"image of einv({e}) is not in the cell of einv of the image")
-            )
-    budget.spend(n)
-    return ValidationReport.collect(violations, {"InvPres": n})
-
-
 def compose_morphisms(f: TypoidMorphism, g: TypoidMorphism) -> TypoidMorphism:
     """Composite running f first, then g."""
     if not f.target.same_structure(g.source):

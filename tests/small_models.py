@@ -6,6 +6,15 @@ produced: base groupoids come from group tables and torsor assembly, layers
 from a quotient groupoid plus class multiplicities plus a lift choice, and
 path-to-edge tables from class-level functors plus a lift choice.  Each
 piece is enumerated exhaustively within the requested bounds.
+
+It also holds the checks of laws that follow from the axioms
+(`derived_laws`, `check_inverse_law`), which cannot fail on valid input
+and so serve only as test oracles, and `relabel`, which permutes a
+typoid's ids.
+
+`tools/tree_diff.py reports` and `outputs` import this module under both
+source trees they compare, so it may import only names that both trees
+have: a helper that needs a new library name belongs in a test module.
 """
 
 from __future__ import annotations
@@ -23,10 +32,16 @@ from typoid.constructions import (
 )
 from typoid.dsl import Document, TypoidEntry
 from typoid.model import (
+    Budget,
     EquivalenceLayer,
     FiniteGroupoid,
     ResourceLimitError,
     Typoid,
+    ValidationReport,
+    Violation,
+    _constant_on_cells,
+    _edges,
+    _malformed,
     validate_typoid,
 )
 from typoid.morphisms import TypoidMorphism
@@ -285,13 +300,22 @@ def small_layers(term_count: int, max_edges_per_hom: int, extra_budget: int):
 # path-to-edge tables
 
 
+def hom_classes(layer: EquivalenceLayer, x: int, y: int) -> tuple[int, ...]:
+    seen: list[int] = []
+    for e in layer.hom(x, y):
+        r = layer.cell[e]
+        if r not in seen:
+            seen.append(r)
+    return tuple(seen)
+
+
 def small_idtoeqvs(base: FiniteGroupoid, layer: EquivalenceLayer):
     """All valid tables: a class-level functor fixed on refl, then a lift."""
     forced = {base.refl[x]: layer.cell[layer.eqv[x]] for x in range(base.term_count)}
     free = [p for p in range(base.path_count) if p not in forced]
     options = []
     for p in free:
-        classes = layer.hom_classes(base.path_src[p], base.path_dst[p])
+        classes = hom_classes(layer, base.path_src[p], base.path_dst[p])
         if not classes:
             return
         options.append(classes)
@@ -369,6 +393,141 @@ def family(
                 assert validate_typoid(t).valid, "generator produced an invalid structure"
                 instances.append(t)
     return tuple(instances)
+
+
+# ---------------------------------------------------------------------------
+# laws that follow from the axioms: oracles that hold on every valid input
+
+
+def cells_equal(t: Typoid, e: int, d: int) -> bool:
+    """True iff the two edges lie in the same cell of the same hom-set."""
+    layer = t.layer
+    if not (0 <= e < layer.edge_count and 0 <= d < layer.edge_count):
+        raise ValueError(f"edge id out of range: {e}, {d}")
+    if (layer.edge_src[e], layer.edge_dst[e]) != (layer.edge_src[d], layer.edge_dst[d]):
+        raise ValueError(
+            f"edges {e} and {d} live in different hom-sets; cells only relate parallel edges"
+        )
+    return layer.cell[e] == layer.cell[d]
+
+
+def derived_laws(t: Typoid, budget: Budget | None = None) -> ValidationReport:
+    """Consequence laws of einv: unit inverses stay in the unit cell, double
+    inversion lands back in the original cell, and inversion respects cells.
+
+    These follow from Typ1..Typ4, so they hold for every structure accepted
+    by validate_typoid; a violation means validation was skipped.  A layer
+    whose tables cannot be read gets its Bookkeeping violations instead.
+    """
+    budget = budget or Budget()
+    layer = t.layer
+    cell = layer.cell
+    violations: list[Violation] = []
+    counts: dict[str, int] = {}
+    if _malformed(_edges(layer), violations):
+        return ValidationReport.collect(violations, counts)
+
+    unit = 0
+    for x in range(layer.term_count):
+        unit += 1
+        e = layer.eqv[x]
+        if cell[layer.einv[e]] != cell[e]:
+            violations.append(
+                Violation("DerivedUnitInv", (x,), f"einv(eqv of term {x}) left the cell of eqv")
+            )
+    counts["DerivedUnitInv"] = unit
+
+    double = 0
+    for e in range(layer.edge_count):
+        double += 1
+        if cell[layer.einv[layer.einv[e]]] != cell[e]:
+            violations.append(
+                Violation("DerivedDoubleInv", (e,), f"einv(einv({e})) left the cell of {e}")
+            )
+    counts["DerivedDoubleInv"] = double
+
+    cong, bad = _constant_on_cells(
+        layer,
+        [cell[layer.einv[e]] for e in range(layer.edge_count)],
+        "DerivedInvCong",
+        "{0} and {1} share a cell but their einv images do not",
+    )
+    violations += bad
+    counts["DerivedInvCong"] = cong
+    budget.spend(unit + double + cong)
+
+    return ValidationReport.collect(violations, counts)
+
+
+def is_strict(m: TypoidMorphism) -> bool:
+    """True iff designated eqv edges map to designated eqv edges on the nose."""
+    return all(
+        m.edge_map[m.source.layer.eqv[x]] == m.target.layer.eqv[m.term_map[x]]
+        for x in range(m.source.term_count)
+    )
+
+
+def check_inverse_law(m: TypoidMorphism, budget: Budget | None = None) -> ValidationReport:
+    """Edge inversion commutes with the edge map up to cells.
+
+    This is a consequence of the morphism laws, so it holds for every map
+    accepted by validate_morphism.
+    """
+    budget = budget or Budget()
+    src, dst = m.source, m.target
+    dcell = dst.layer.cell
+    violations: list[Violation] = []
+    n = src.layer.edge_count
+    for e in range(n):
+        if dcell[m.edge_map[src.layer.einv[e]]] != dcell[dst.layer.einv[m.edge_map[e]]]:
+            violations.append(
+                Violation("InvPres", (e,), f"image of einv({e}) is not in the cell of einv of the image")
+            )
+    budget.spend(n)
+    return ValidationReport.collect(violations, {"InvPres": n})
+
+
+# ---------------------------------------------------------------------------
+# relabelings
+
+
+def _placed(ids, column) -> tuple[int, ...]:
+    """`column` with entry i moved to position ids[i]."""
+    out = [0] * len(column)
+    for i, value in zip(ids, column):
+        out[i] = value
+    return tuple(out)
+
+
+def relabel(t: Typoid, rng) -> Typoid:
+    """t with its term, path and edge ids permuted by `rng`.  Every table is
+    rewritten in the new ids, the composition tables in key order, and each
+    cell is labelled by its least new id."""
+    terms, paths, edges = (rng.sample(range(n), n) for n in (t.term_count, t.base.path_count, t.layer.edge_count))
+
+    def level(ids, src, dst, unit, table, inv):
+        return (
+            _placed(ids, [terms[x] for x in src]),
+            _placed(ids, [terms[x] for x in dst]),
+            _placed(terms, [ids[i] for i in unit]),
+            dict(sorted(((ids[p], ids[q]), ids[r]) for (p, q), r in table.items())),
+            _placed(ids, [ids[i] for i in inv]),
+        )
+
+    g, layer = t.base, t.layer
+    least: dict[int, int] = {}
+    for e, r in enumerate(layer.cell):
+        least[r] = min(least.get(r, edges[e]), edges[e])
+    return Typoid(
+        t.name,
+        FiniteGroupoid(g.term_count, *level(paths, g.path_src, g.path_dst, g.refl, g.comp, g.inv)),
+        EquivalenceLayer(
+            layer.term_count,
+            *level(edges, layer.edge_src, layer.edge_dst, layer.eqv, layer.star, layer.einv),
+            _placed(edges, [least[r] for r in layer.cell]),
+        ),
+        _placed(paths, [edges[e] for e in t.idtoeqv]),
+    )
 
 
 # ---------------------------------------------------------------------------

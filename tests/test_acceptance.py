@@ -15,7 +15,7 @@ from typoid.morphisms import identity_morphism
 from typoid.univalence import UnivalenceCertificate
 
 from corpus import full_stock, stock_base, stock_products, stock_truncations, univalent_stock
-from small_models import family, oracle_search, structurally_equal
+from small_models import check_inverse_law, derived_laws, family, is_strict, oracle_search, structurally_equal
 
 
 @contextmanager
@@ -37,7 +37,7 @@ def test_criterion_01_axiom_suite():
     with criterion("1 axiom suite", bound=1.0):
         for name, t in corpus.items():
             assert T.validate_typoid(t).valid, name
-            assert T.derived_laws(t).valid, name
+            assert derived_laws(t).valid, name
 
 
 def test_criterion_02_univalence_oracle_equivalence():
@@ -102,8 +102,8 @@ def test_criterion_05_induced_morphisms():
                         m = T.induce_morphism(src, dst, f, ap)
                         label = f"{sname}->{tname} {f}"
                         assert T.validate_morphism(m).valid, label
-                        assert T.is_strict(m), label
-                        assert T.check_inverse_law(m).valid, label
+                        assert is_strict(m), label
+                        assert check_inverse_law(m).valid, label
                         if tname in target_certs:
                             report = T.check_square(m, target_certs[tname], c_src)
                             assert report.valid, label
@@ -204,7 +204,7 @@ def test_criterion_08_morphism_suite_composition_and_truncation_maps():
         # inverse preservation is a theorem of the morphism laws: it must
         # hold for every member of the suite
         for m in suite:
-            assert T.check_inverse_law(m).valid, m.name
+            assert check_inverse_law(m).valid, m.name
 
         composed = 0
         for m1 in suite:
@@ -212,8 +212,8 @@ def test_criterion_08_morphism_suite_composition_and_truncation_maps():
                 if m1.target is m2.source or m1.target.same_structure(m2.source):
                     m = T.compose_morphisms(m1, m2)
                     assert T.validate_morphism(m).valid, f"{m1.name} ; {m2.name}"
-                    if T.is_strict(m1) and T.is_strict(m2):
-                        assert T.is_strict(m)
+                    if is_strict(m1) and is_strict(m2):
+                        assert is_strict(m)
                     composed += 1
         assert composed > 100
         print(f"  suite of {len(suite)} morphisms, {composed} composites checked")

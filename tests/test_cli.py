@@ -256,6 +256,15 @@ def test_a_product_too_large_to_list_exits_3_with_one_report(tmp_path, capsys, m
     assert not out.exists()
 
 
+def test_a_budget_that_is_not_a_decimal_integer_is_ignored(tmp_path, capsys, monkeypatch):
+    # "²".isdigit() holds, but int("²") raises
+    for raw in ("²", "1e6", "-5", " 7", ""):
+        monkeypatch.setenv("TYPOID_MAX_CHECKS", raw)
+        assert Budget().limit == 10_000_000, raw
+        code, report = run(capsys, "gen", "discrete", "2", "-o", str(tmp_path / "disc2.typoid"))
+        assert (code, report["result"]) == (0, "ok"), raw
+
+
 def test_json_reports_byte_stable(tmp_path, capsys):
     f = tmp_path / "ab.typoid"
     f.write_text(AB)

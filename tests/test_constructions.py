@@ -14,7 +14,15 @@ from typoid.model import FiniteGroupoid
 from typoid.univalence import NotUnivalent, UnivalenceCertificate
 
 from corpus import full_stock, stock_base, stock_products, stock_truncations
-from small_models import family, naive_completion_base, naive_exponential, naive_product, permuted
+from small_models import (
+    cells_equal,
+    family,
+    is_strict,
+    naive_completion_base,
+    naive_exponential,
+    naive_product,
+    permuted,
+)
 from test_morphisms import rich_unit_cell_typoid
 
 
@@ -121,7 +129,7 @@ def test_pair_edges_congruent_componentwise():
                         and b.layer.cell[e2] == b.layer.cell[d2]
                     )
                     if same1 and same2:
-                        assert T.cells_equal(
+                        assert cells_equal(
                             prod,
                             prov.pair_edge[(e1, e2)],
                             prov.pair_edge[(d1, d2)],
@@ -214,7 +222,7 @@ def test_morphism_into_truncation_constant_unit():
     dst = T.truncate(src)
     m = T.morphism_into_truncation(src, dst, (0,))
     assert T.validate_morphism(m).valid
-    assert T.is_strict(m)
+    assert is_strict(m)
     assert set(m.edge_map) == {dst.layer.eqv[0]}
 
 

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import dataclasses
+import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,16 @@ import typoid as T
 from typoid.model import EquivalenceLayer, FiniteGroupoid, Typoid
 
 from corpus import full_stock
-from small_models import family, naive_associativity, naive_entries, naive_typ4_estimate, same_hom_redirects
+from small_models import (
+    cells_equal,
+    derived_laws,
+    family,
+    naive_associativity,
+    naive_entries,
+    naive_typ4_estimate,
+    relabel,
+    same_hom_redirects,
+)
 
 
 def z2_groupoid() -> FiniteGroupoid:
@@ -132,25 +143,25 @@ def test_unit_absorption_outside_cell_is_typ1_violation():
 def test_cells_equal():
     two = T.twoedge_typoid()
     eqv, extra = two.layer.eqv[0], 1
-    assert T.cells_equal(two, eqv, eqv)
-    assert not T.cells_equal(two, eqv, extra)
+    assert cells_equal(two, eqv, eqv)
+    assert not cells_equal(two, eqv, extra)
     tr = T.truncate(T.equality_typoid(T.codiscrete_groupoid(2), name="prop2"))
     for x in range(2):
         for y in range(2):
             hom = tr.layer.hom(x, y)
             for e in hom:
                 for d in hom:
-                    assert T.cells_equal(tr, e, d)
+                    assert cells_equal(tr, e, d)
 
 
 def test_cells_equal_hom_mismatch_is_error():
     bd = T.equality_typoid(T.discrete_groupoid(2), name="bool_disc")
     with pytest.raises(ValueError):
-        T.cells_equal(bd, bd.layer.eqv[0], bd.layer.eqv[1])
+        cells_equal(bd, bd.layer.eqv[0], bd.layer.eqv[1])
 
 
 def test_derived_laws_unit():
-    assert T.derived_laws(T.unit_typoid()).valid
+    assert derived_laws(T.unit_typoid()).valid
 
 
 def test_derived_laws_eq_z2_by_hand():
@@ -160,13 +171,13 @@ def test_derived_laws_eq_z2_by_hand():
     for e in (0, 1):
         assert layer.cell[layer.einv[layer.einv[e]]] == layer.cell[e]
     assert layer.cell[layer.einv[layer.eqv[0]]] == layer.cell[layer.eqv[0]]
-    assert T.derived_laws(t).valid
+    assert derived_laws(t).valid
 
 
 def test_derived_laws_hold_corpus_wide():
     for name, t in full_stock().items():
         assert T.validate_typoid(t).valid, name
-        assert T.derived_laws(t).valid, name
+        assert derived_laws(t).valid, name
 
 
 def test_validation_order_independent():
@@ -220,7 +231,7 @@ def test_zero_term_typoid_valid_and_vacuous():
     )
     report = T.validate_typoid(t)
     assert report.valid
-    assert T.derived_laws(t).valid
+    assert derived_laws(t).valid
 
 
 def test_budget_limit_raises():
@@ -251,7 +262,7 @@ def test_cell_partition_normalizes_to_least_member():
 def test_derived_laws_hold_for_random_valid_structures(seed):
     fam = family()
     t = fam[seed % len(fam)]
-    assert T.derived_laws(t).valid
+    assert derived_laws(t).valid
 
 
 def _single_row_mutants(t: Typoid, i: int):
@@ -477,7 +488,7 @@ _CASES = {
     "idtoeqv-length": lambda: _edges(_P2G, _prop2_layer(), (0, 1)),
     "idtoeqv-entries": lambda: _edges(_P2G, _prop2_layer(), (0, 1, 3, 7)),
     "idtoeqv-laws": lambda: _edges(_Z2G, _z2_layer(_Z2), (1, 1)),
-    "derived-inv-cong": lambda: T.derived_laws(Typoid("t", _DISC1, _loops({}, (0, 2, 1), (0, 0, 2)), (0,))),
+    "derived-inv-cong": lambda: derived_laws(Typoid("t", _DISC1, _loops({}, (0, 2, 1), (0, 0, 2)), (0,))),
     "ua-cong": lambda: T.verify_certificate(_one_cell(), T.UnivalenceCertificate("t", (0, 1))),
     "cell-pres": lambda: T.validate_morphism(
         T.TypoidMorphism("m", _one_cell(), T.equality_typoid(_Z2G), (0,), (0, 1), (0, 1))
@@ -687,6 +698,33 @@ def test_single_entry_mutants_are_reported_not_raised(t):
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(_single_entry_mutants(tuple(m for m in _MUTABLE if m[0] == "layer")))
 def test_derived_laws_report_unreadable_layers(t):
-    report = T.derived_laws(t, T.Budget(10**9))
+    report = derived_laws(t, T.Budget(10**9))
     if "DerivedUnitInv" not in report.law_counts:
         assert report.violations and {v.law for v in report.violations} == {"Bookkeeping"}
+
+
+def _verdict(t: Typoid):
+    report = T.validate_typoid(t, T.Budget(10**9))
+    univalent = None
+    if report.valid:
+        univalent = isinstance(T.check_univalence(t, report=report), T.UnivalenceCertificate)
+    return report.valid, list(report.law_counts.items()), Counter(v.law for v in report.violations), univalent
+
+
+def test_relabeling_ids_keeps_every_verdict():
+    # the reason a structure is not univalent may change: the decision
+    # returns the failure of the least hom-set, which depends on term order
+    rng = random.Random(15)
+    fam = family()
+    picked = sorted(rng.sample(range(len(fam)), 60))
+    z6_z8, _ = T.product_typoid(T.equality_typoid(T.cyclic_groupoid(6)), T.equality_typoid(T.cyclic_groupoid(8)))
+    structures = (
+        [fam[i] for i in picked]
+        + [m for i in picked for m in same_hom_redirects(fam[i], i)]
+        + [T.equality_typoid(T.codiscrete_groupoid(16)), T.universe_typoid([4, 4]), z6_z8, T.truncate(z6_z8)]
+    )
+    verdicts = [_verdict(t) for t in structures]
+    assert {v[0] for v in verdicts} == {True, False} and {v[3] for v in verdicts} == {True, False, None}
+    for t, before in zip(structures, verdicts):
+        for _ in range(2):
+            assert _verdict(relabel(t, rng)) == before, t.name

@@ -13,7 +13,7 @@ from typoid.model import EquivalenceLayer, Typoid
 from typoid.morphisms import identity_morphism
 
 from corpus import stock_base, stock_products
-from small_models import naive_path_functors, permuted, small_groupoids
+from small_models import check_inverse_law, is_strict, naive_path_functors, permuted, small_groupoids
 
 
 def rich_unit_cell_typoid(name: str = "rich") -> Typoid:
@@ -45,7 +45,7 @@ def test_identity_on_equality_typoid_valid_and_strict():
     t = stock_base()["eq_z2"]
     m = identity_morphism(t)
     assert T.validate_morphism(m).valid
-    assert T.is_strict(m)
+    assert is_strict(m)
 
 
 def test_projections_of_product_are_valid_and_strict():
@@ -53,8 +53,8 @@ def test_projections_of_product_are_valid_and_strict():
     pr1, pr2 = T.projections(prod, prov)
     for m in (pr1, pr2):
         assert T.validate_morphism(m).valid
-        assert T.is_strict(m)
-        assert T.check_inverse_law(m).valid
+        assert is_strict(m)
+        assert check_inverse_law(m).valid
 
 
 def test_morphism_moving_eqv_out_of_its_cell_is_rejected():
@@ -84,19 +84,19 @@ def test_nonstrict_morphism_with_fat_unit_cell():
         edge_map=(1, 0),
     )
     assert T.validate_morphism(m).valid
-    assert not T.is_strict(m)
-    assert T.is_strict(identity_morphism(rich))
+    assert not is_strict(m)
+    assert is_strict(identity_morphism(rich))
 
 
 def test_inverse_law_for_identity_and_projections():
     t = stock_base()["universe2"]
-    assert T.check_inverse_law(identity_morphism(t)).valid
+    assert check_inverse_law(identity_morphism(t)).valid
     prod, prov = stock_products()["prod_universe2_universe2"]
     for m in T.projections(prod, prov):
-        assert T.check_inverse_law(m).valid
+        assert check_inverse_law(m).valid
     # an edge map that is no morphism: eq(Z3)'s edges 1 and 2 both to 1
     z3 = T.equality_typoid(T.cyclic_groupoid(3))
-    report = T.check_inverse_law(dataclasses.replace(identity_morphism(z3), edge_map=(0, 1, 1)))
+    report = check_inverse_law(dataclasses.replace(identity_morphism(z3), edge_map=(0, 1, 1)))
     assert [(v.law, v.witness) for v in report.violations] == [("InvPres", (1,)), ("InvPres", (2,))]
     assert report.law_counts == {"InvPres": 3}
 
@@ -136,7 +136,7 @@ def test_composition_of_strict_morphisms_is_strict_and_valid():
     for f, g in [(ident, pr1), (ident, pr2)]:
         composite = T.compose_morphisms(f, g)
         assert T.validate_morphism(composite).valid
-        assert T.is_strict(composite)
+        assert is_strict(composite)
 
 
 def test_pairing_then_projection_recovers_factor():
@@ -161,29 +161,29 @@ def test_identity_from_equality_unit():
     m = T.identity_from_equality(T.unit_typoid())
     assert m.term_map == (0,) and m.path_map == (0,) and m.edge_map == (0,)
     assert T.validate_morphism(m).valid
-    assert T.is_strict(m)
+    assert is_strict(m)
 
 
 def test_identity_from_equality_is_pointwise_identity_on_equality_typoids():
     t = stock_base()["eq_z2"]
     m = T.identity_from_equality(t)
     assert m.edge_map == tuple(range(t.base.path_count))
-    assert T.validate_morphism(m).valid and T.is_strict(m)
+    assert T.validate_morphism(m).valid and is_strict(m)
 
 
 def test_identity_from_equality_twoedge():
     two = T.twoedge_typoid()
     m = T.identity_from_equality(two)
     assert m.edge_map == (0,)
-    assert T.validate_morphism(m).valid and T.is_strict(m)
+    assert T.validate_morphism(m).valid and is_strict(m)
 
 
 def test_identity_from_equality_corpus_wide():
     for name, t in stock_base().items():
         m = T.identity_from_equality(t)
         assert T.validate_morphism(m).valid, name
-        assert T.is_strict(m), name
-        assert T.check_inverse_law(m).valid, name
+        assert is_strict(m), name
+        assert check_inverse_law(m).valid, name
 
 
 def test_path_functor_enumeration():
@@ -253,7 +253,7 @@ def test_nonstrict_unit_image_is_still_lawful():
         edge_map=(1,),  # allowed up to cells
     )
     assert T.validate_morphism(wrong).valid
-    assert not T.is_strict(wrong)
+    assert not is_strict(wrong)
 
 
 def test_bookkeeping_violations_reported():

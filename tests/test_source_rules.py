@@ -7,6 +7,7 @@ import warnings
 from pathlib import Path
 
 import typoid
+from typoid import cli
 
 LIBRARY = sorted(Path(typoid.__file__).parent.glob("*.py"))
 TOOLS = sorted((Path(__file__).resolve().parent.parent / "tools").glob("*.py"))
@@ -59,3 +60,16 @@ def test_library_modules_import_only_at_module_level():
         if isinstance(node, (ast.Import, ast.ImportFrom))
     ]
     assert found == []
+
+
+def test_every_l_code_names_a_law_a_command_can_report():
+    # the commands print the reports of the checkers in model.py and
+    # morphisms.py; a univalence failure is coded L310 by `_not_univalent`
+    literals = {
+        node.value
+        for path in LIBRARY
+        if path.name in ("model.py", "morphisms.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    }
+    assert sorted(set(cli.L_CODES) - literals) == []

@@ -14,7 +14,7 @@ from typoid.morphisms import identity_morphism
 from typoid.univalence import NotUnivalent, UnivalenceCertificate
 
 from corpus import full_stock, stock_base, stock_products, univalent_stock
-from small_models import family, naive_univalence, oracle_search
+from small_models import check_inverse_law, family, is_strict, naive_univalence, oracle_search
 from test_morphisms import rich_unit_cell_typoid
 
 
@@ -162,8 +162,8 @@ def test_induce_into_fat_unit_cell_target():
     ap = T.find_path_functor(src.base, dst.base, (0,))
     m = T.induce_morphism(src, dst, (0,), ap)
     assert T.validate_morphism(m).valid
-    assert T.is_strict(m)
-    assert T.check_inverse_law(m).valid
+    assert is_strict(m)
+    assert check_inverse_law(m).valid
 
 
 def test_induce_from_non_univalent_source_raises_with_witness():
@@ -242,7 +242,7 @@ def test_witness_table_is_a_morphism_into_the_equality_typoid():
             edge_map=cert.ua,
         )
         assert T.validate_morphism(m).valid, name
-        assert T.is_strict(m), name
+        assert is_strict(m), name
 
 
 def test_pointed_factors_certify_both_sides():

@@ -42,6 +42,11 @@ certificate's table with whether `verify_certificate` passes it, as plain
 values.  Parts: the `repr` of each output (or raised exception),
 and that of a copy with sorted dicts; a row whose sorted copies agree is
 equal up to dict order, not different.  About 30 s on two cores.
+
+reports and outputs import `tests/corpus.py` and `tests/small_models.py`
+of this checkout under both trees, so those two files may import only
+names that both trees have; a name only the newer tree has makes the older
+tree's run fail with an ImportError.
 """
 
 from __future__ import annotations
@@ -440,7 +445,11 @@ def main(argv=None) -> int:
             children.append(subprocess.Popen(command + extra, cwd=work / name, env=env))
         for name, code in zip(("old", "new"), [child.wait() for child in children]):
             if code != 0:
-                print(f"the run under the {name} tree failed (exit {code})", file=sys.stderr)
+                print(
+                    f"the run under the {name} tree failed (exit {code}). Its traceback is printed above; "
+                    "an ImportError raised in tests/ means a helper there imports a name this tree lacks",
+                    file=sys.stderr,
+                )
                 return 2
         old, new = (json.loads((work / name / "rows.json").read_text(encoding="utf-8")) for name in ("old", "new"))
     lines, code = compare(args.mode, old, new)
