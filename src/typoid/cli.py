@@ -115,7 +115,7 @@ class _ParseFailed(Exception):
             violations=[
                 {
                     "code": d.code,
-                    "severity": d.severity,
+                    "severity": "error",
                     "line": d.span.line,
                     "column": d.span.column,
                     "length": d.span.length,
@@ -221,8 +221,7 @@ def _cmd_product(args) -> dict:
 
 def _cmd_exp(args) -> dict:
     a, b = _typoids(args, args.a, args.b)
-    limits = ExponentialLimits(max_terms=args.max_terms, max_edges=args.max_edges)
-    exp, prov = exponential_typoid(a, b, limits)
+    exp, prov = exponential_typoid(a, b, ExponentialLimits(args.max_terms, args.max_edges))
     return _write_construction(
         args.out,
         exp,
@@ -292,23 +291,16 @@ def _named_maps(doc: Document, args, edges: bool):
     src_entry = _find_typoid(doc, args.src, args.file)
     dst_entry = _find_typoid(doc, args.dst, args.file)
     src, dst = src_entry.typoid, dst_entry.typoid
-    term_map = _id_table(
-        args.map, "--map", "term", src_entry.term_names, dst_entry.term_names, [None] * src.term_count
-    )
-    paths: list[int | None] = [None] * src.base.path_count
-    for x, y in enumerate(term_map):
-        paths[src.base.refl[x]] = dst.base.refl[y]
-    maps = [
-        term_map,
-        _id_table(args.path_map, "--path-map", "path", src_entry.path_names, dst_entry.path_names, paths),
-    ]
-    if edges:
-        eqvs: list[int | None] = [None] * src.layer.edge_count
+    names = src_entry.term_names, dst_entry.term_names
+    term_map = _id_table(args.map, "--map", "term", *names, [None] * src.term_count)
+    maps = [term_map]
+    levels = (("path", src.base.refl, dst.base.refl), ("edge", src.layer.eqv, dst.layer.eqv))
+    for what, src_units, dst_units in levels[: 1 + edges]:
+        names = [getattr(entry, f"{what}_names") for entry in (src_entry, dst_entry)]
+        table: list[int | None] = [None] * len(names[0])
         for x, y in enumerate(term_map):
-            eqvs[src.layer.eqv[x]] = dst.layer.eqv[y]
-        maps.append(
-            _id_table(args.edge_map, "--edge-map", "edge", src_entry.edge_names, dst_entry.edge_names, eqvs)
-        )
+            table[src_units[x]] = dst_units[y]
+        maps.append(_id_table(getattr(args, f"{what}_map"), f"--{what}-map", what, *names, table))
     return src, dst, maps
 
 
@@ -380,44 +372,31 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(prog="typoid", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", help="check every law of every declaration in a file")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_validate)
+    def command(name, help, func, *operands, out=False, **options):
+        """Subcommand `name` with its positional operands (`options` holds an
+        operand's further argparse keywords), the required -o/--out of a
+        command that writes a file, and its handler."""
+        p = sub.add_parser(name, help=help)
+        for operand in operands:
+            p.add_argument(operand, **options.get(operand, {}))
+        if out:
+            p.add_argument("-o", "--out", required=True)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("univalence", help="decide univalence and synthesize the witness table")
-    p.add_argument("file")
+    command("validate", "check every law of every declaration in a file", _cmd_validate, "file")
+    p = command("univalence", "decide univalence and synthesize the witness table", _cmd_univalence, "file")
     p.add_argument("--typoid", default=None)
     p.add_argument("--emit-ua", action="store_true")
-    p.set_defaults(func=_cmd_univalence)
+    command("product", "construct the product of two typoids", _cmd_product, "file", "a", "b", out=True)
+    p = command("exp", "construct the exponential of two typoids", _cmd_exp, "file", "a", "b", out=True)
+    limits = ExponentialLimits()
+    p.add_argument("--max-terms", type=int, default=limits.max_terms)
+    p.add_argument("--max-edges", type=int, default=limits.max_edges)
+    command("truncate", "collapse the layer to one edge per hom", _cmd_rebuild, "file", "a", out=True)
+    command("complete", "regrow the base groupoid from the cell classes", _cmd_rebuild, "file", "a", out=True)
 
-    p = sub.add_parser("product", help="construct the product of two typoids")
-    p.add_argument("file")
-    p.add_argument("a")
-    p.add_argument("b")
-    p.add_argument("-o", "--out", required=True)
-    p.set_defaults(func=_cmd_product)
-
-    p = sub.add_parser("exp", help="construct the exponential of two typoids")
-    p.add_argument("file")
-    p.add_argument("a")
-    p.add_argument("b")
-    p.add_argument("-o", "--out", required=True)
-    p.add_argument("--max-terms", type=int, default=64)
-    p.add_argument("--max-edges", type=int, default=256)
-    p.set_defaults(func=_cmd_exp)
-
-    for name, help in (
-        ("truncate", "collapse the layer to one edge per hom"),
-        ("complete", "regrow the base groupoid from the cell classes"),
-    ):
-        p = sub.add_parser(name, help=help)
-        p.add_argument("file")
-        p.add_argument("a")
-        p.add_argument("-o", "--out", required=True)
-        p.set_defaults(func=_cmd_rebuild)
-
-    p = sub.add_parser("check-fun", help="validate a declared or command-line morphism")
-    p.add_argument("file")
+    p = command("check-fun", "validate a declared or command-line morphism", _cmd_check_fun, "file")
     p.add_argument("--morphism", default=None)
     p.add_argument("--from", dest="src", default=None)
     p.add_argument("--to", dest="dst", default=None)
@@ -425,22 +404,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--path-map", default="", help='path assignments "p:q,..."')
     p.add_argument("--edge-map", default="", help='edge assignments "e:d,..."')
     p.add_argument("--no-ap", action="store_true", help="skip base-path functor checks")
-    p.set_defaults(func=_cmd_check_fun)
 
-    p = sub.add_parser("induce", help="build the edge action of a term map out of a univalent source")
-    p.add_argument("file")
+    p = command("induce", "build the edge action of a term map out of a univalent source", _cmd_induce, "file")
     p.add_argument("--from", dest="src", required=True)
     p.add_argument("--to", dest="dst", required=True)
     p.add_argument("--map", default="", help='term assignments "a:b,..."')
     p.add_argument("--path-map", default="", help='path assignments "p:q,..."')
-    p.set_defaults(func=_cmd_induce)
 
-    p = sub.add_parser("gen", help="generate a stock typoid (equality|universe|discrete|prop)")
-    p.add_argument("kind", choices=["equality", "universe", "discrete", "prop"])
-    p.add_argument("args", nargs="*", help="generator arguments")
-    p.add_argument("-o", "--out", required=True)
-    p.set_defaults(func=_cmd_gen)
-
+    command(
+        "gen", "generate a stock typoid (equality|universe|discrete|prop)", _cmd_gen, "kind", "args", out=True,
+        kind={"choices": ["equality", "universe", "discrete", "prop"]},
+        args={"nargs": "*", "help": "generator arguments"},
+    )
     return parser
 
 

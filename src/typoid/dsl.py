@@ -82,7 +82,6 @@ class Span:
 
 @dataclass(frozen=True)
 class Diagnostic:
-    severity: str
     span: Span
     code: str
     message: str
@@ -180,12 +179,7 @@ def _tokenize(text: str) -> tuple[list[_Token], list[Diagnostic]]:
         elif kind == "bad":
             pos = m.end() - 1
             diagnostics.append(
-                Diagnostic(
-                    "error",
-                    Span(line, pos - line_start + 1, 1),
-                    E_LEX,
-                    f"unexpected character {text[pos]!r}",
-                )
+                Diagnostic(Span(line, pos - line_start + 1, 1), E_LEX, f"unexpected character {text[pos]!r}")
             )
         elif kind == "eof":
             tokens.append(_Token("eof", "", line, m.end() - line_start + 1, m.end()))
@@ -353,7 +347,7 @@ class _Parser:
         return tok
 
     def error(self, span: Span, code: str, message: str) -> None:
-        self.diagnostics.append(Diagnostic("error", span, code, message))
+        self.diagnostics.append(Diagnostic(span, code, message))
 
     def expect(self, text: str) -> _Token | None:
         tok = self.peek()
@@ -471,7 +465,7 @@ def _assemble(
     for raw in blocks:
         if raw.name in kept:
             message = f"duplicate declaration name {raw.name!r}"
-            diagnostics.append(Diagnostic("error", locate(raw.at, 1), E_DUPLICATE, message))
+            diagnostics.append(Diagnostic(locate(raw.at, 1), E_DUPLICATE, message))
         else:
             kept[raw.name] = raw
 
@@ -489,7 +483,7 @@ def _assemble(
                 entries_by_name[raw.name] = entry
 
     ordered = tuple(sorted(diagnostics, key=lambda d: (d.span.line, d.span.column, d.code)))
-    if any(d.severity == "error" for d in ordered):
+    if ordered:
         return ParseResult(document=None, diagnostics=ordered)
     entries = tuple(entries_by_name[name] for name in kept)
     return ParseResult(document=Document(entries=entries), diagnostics=ordered)
@@ -520,7 +514,7 @@ def _assemble_typoid(
     span = locate(raw.at, 1)
 
     def error(where: Span, code: str, message: str) -> None:
-        diagnostics.append(Diagnostic("error", where, code, message))
+        diagnostics.append(Diagnostic(where, code, message))
 
     if not raw.terms:
         error(span, E_MISSING, f"typoid {raw.name!r} has no terms statement")
@@ -715,7 +709,7 @@ def _assemble_morphism(
     errors_before = len(diagnostics)
 
     def error(where: Span, code: str, message: str) -> None:
-        diagnostics.append(Diagnostic("error", where, code, message))
+        diagnostics.append(Diagnostic(where, code, message))
 
     src_entry = typoids.get(raw.source)
     dst_entry = typoids.get(raw.target)

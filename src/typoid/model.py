@@ -21,7 +21,7 @@ witness is listed.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -169,11 +169,7 @@ class Typoid:
 
     def same_structure(self, other: "Typoid") -> bool:
         """Structural equality ignoring the name."""
-        return (
-            self.base == other.base
-            and self.layer == other.layer
-            and self.idtoeqv == other.idtoeqv
-        )
+        return replace(self, name=other.name) == other
 
 
 class CellPartition:

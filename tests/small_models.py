@@ -9,8 +9,8 @@ piece is enumerated exhaustively within the requested bounds.
 
 It also holds the checks of laws that follow from the axioms
 (`derived_laws`, `check_inverse_law`), which cannot fail on valid input
-and so serve only as test oracles, and `relabel`, which permutes a
-typoid's ids.
+and so serve only as test oracles, `relabel`, which permutes a typoid's
+ids, and `q_typoid`, the fat-cell family Q(m,k).
 
 `tools/tree_diff.py reports` and `outputs` import this module under both
 source trees they compare, so it may import only names that both trees
@@ -28,7 +28,10 @@ from typoid.constructions import (
     ExponentialLimits,
     ExponentialProvenance,
     ProductProvenance,
+    _layer,
+    _presented,
     _renumber,
+    cyclic_groupoid,
 )
 from typoid.dsl import Document, TypoidEntry
 from typoid.model import (
@@ -393,6 +396,23 @@ def family(
                 assert validate_typoid(t).valid, "generator produced an invalid structure"
                 instances.append(t)
     return tuple(instances)
+
+
+def q_typoid(m: int, k: int) -> Typoid:
+    """Q(m, k): one term, base Z_m, edges Z_{mk} under `star` addition mod
+    mk, the residues mod m as cells (k edges each), and `idtoeqv` sending p
+    to p.  Valid and univalent; its cells grow fat with k."""
+    n = m * k
+    edges = _presented(
+        range(n),
+        ends=lambda _: (0, 0),
+        compose=lambda i, out: [(i + j) % n for j in out],
+        inverse=lambda i: -i % n,
+        unit=lambda _: 0,
+        term_count=1,
+        cell=lambda i: i % m,
+    )
+    return Typoid(f"q{m}_{k}", cyclic_groupoid(m), _layer(edges), tuple(range(m)))
 
 
 # ---------------------------------------------------------------------------

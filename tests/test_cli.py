@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import json
+import random
 import re
 import time
 import tracemalloc
+from collections import Counter
 from functools import lru_cache
 
 from hypothesis import HealthCheck, given, settings
@@ -18,6 +20,7 @@ from typoid.model import Budget, validate_typoid
 from typoid.morphisms import identity_morphism, validate_morphism
 
 from corpus import full_stock, stock_products
+from small_models import family, same_hom_redirects
 
 UNIT = "typoid U {\n  terms x ;\n}\n"
 TWOEDGE = "typoid T {\n  terms x ;\n  edge e : x ~ x ;\n  star e * e = eqv_x ;\n  einv e = e ;\n}\n"
@@ -467,14 +470,32 @@ def test_checkfun_names_the_term_its_map_misses(tmp_path, capsys):
 
 
 def test_bad_command_lines_end_in_one_report(tmp_path, capsys):
+    # each message verbatim, as argparse words it for the parser as built
     f = tmp_path / "ab.typoid"
     f.write_text(AB)
     out = tmp_path / "e.typoid"
-    for argv in (
-        [],
-        ["bogus"],
-        ["exp", str(f), "A", "B", "-o", str(out), "--max-terms", "abc"],
-        ["gen", "universe", "-o", str(out)],
+    required = "the following arguments are required"
+    for argv, message in (
+        ([], f"typoid: {required}: command"),
+        (
+            ["nope"],
+            "typoid: argument command: invalid choice: 'nope' (choose from 'validate', 'univalence', "
+            "'product', 'exp', 'truncate', 'complete', 'check-fun', 'induce', 'gen')",
+        ),
+        (["exp"], f"typoid exp: {required}: file, a, b, -o/--out"),
+        (["product", "f", "a"], f"typoid product: {required}: b, -o/--out"),
+        (["exp", "f", "a", "b"], f"typoid exp: {required}: -o/--out"),
+        (
+            ["exp", str(f), "A", "B", "-o", str(out), "--max-terms", "z"],
+            "typoid exp: argument --max-terms: invalid int value: 'z'",
+        ),
+        (
+            ["gen", "bogus"],
+            "typoid gen: argument kind: invalid choice: 'bogus' (choose from 'equality', 'universe', 'discrete', 'prop')",
+        ),
+        (["gen", "universe", "-o", str(out)], "gen universe takes the set cardinalities"),
+        (["induce", "f"], f"typoid induce: {required}: --from, --to"),
+        (["check-fun"], f"typoid check-fun: {required}: file"),
     ):
         code = cli.main(argv)
         lines = capsys.readouterr().out.splitlines()
@@ -482,8 +503,10 @@ def test_bad_command_lines_end_in_one_report(tmp_path, capsys):
         assert len(lines) == 1, argv
         report = json.loads(lines[0])
         assert report["result"] == "input-error"
-        assert [v["code"] for v in report["violations"]] == ["E000"]
+        assert report["violations"] == [{"code": "E000", "message": message}]
     assert not out.exists()
+    args = cli.build_parser().parse_args(["exp", str(f), "A", "B", "-o", str(out)])
+    assert T.ExponentialLimits(args.max_terms, args.max_edges) == T.ExponentialLimits()
 
 
 _COMMANDS = ("validate", "univalence", "product", "exp", "truncate", "complete", "check-fun", "induce", "gen")
@@ -696,3 +719,63 @@ def test_random_token_streams_end_in_one_report(tmp_path, capsys, monkeypatch, r
     assert code in (0, 1, 2, 3)
     assert len(lines) == 1
     assert cli._EXIT_CODES[json.loads(lines[0])["result"]] == code
+
+
+def _relabeled(text: str, rng: random.Random) -> str:
+    """`text` with the statements of every block, and the names of each
+    `terms` statement, in random order, and every term, path and edge
+    renamed at random; the implicit `refl_x` and `eqv_x` follow term x."""
+    blocks = re.findall(r"^(typoid \w+ \{\n)(.*?)^\}\n", text, re.M | re.S)
+    out = []
+    for header, body in blocks:
+        statements = [line.split() for line in body.splitlines()]
+        terms = [name for words in statements if words[0] == "terms" for name in words[1:-1]]
+        declared = [words[1] for words in statements if words[0] in ("path", "edge")]
+        new_terms = [f"x{k}" for k in rng.sample(range(len(terms)), len(terms))]
+        new_names = [f"n{k}" for k in rng.sample(range(len(declared)), len(declared))]
+        rename = dict(zip(terms + declared, new_terms + new_names))
+        for old, new in zip(terms, new_terms):
+            rename[f"refl_{old}"], rename[f"eqv_{old}"] = f"refl_{new}", f"eqv_{new}"
+        for words in statements:
+            words[1:] = [rename.get(w, w) for w in words[1:]]
+            if words[0] == "terms":
+                words[1:-1] = rng.sample(words[1:-1], len(words) - 2)
+        rng.shuffle(statements)
+        out.append(header + "".join(f"  {' '.join(words)}\n" for words in statements) + "}\n")
+    return "\n".join(out)
+
+
+def test_relabeled_documents_keep_every_verdict(tmp_path, capsys, monkeypatch):
+    # permuting statements and names renumbers every id; the reason a
+    # structure is not univalent may change with term order, the verdict not
+    # building the parser is two thirds of a small run, and this test is
+    # about documents, so one parser serves every run
+    monkeypatch.setattr(cli, "build_parser", lru_cache(maxsize=1)(cli.build_parser))
+    rng = random.Random(15)
+    fam = family()
+    picked = sorted(rng.sample(range(len(fam)), 30))
+    eq = T.equality_typoid
+    z6_z8, _ = T.product_typoid(eq(T.cyclic_groupoid(6)), eq(T.cyclic_groupoid(8)))
+    structures = (
+        [fam[i] for i in picked]
+        + [m for i in picked for m in same_hom_redirects(fam[i], i)]
+        + [T.universe_typoid([4, 4]), z6_z8]
+    )
+    doc = tmp_path / "doc.typoid"
+
+    def verdict(text: str):
+        doc.write_text(text)
+        code, report = run(capsys, "validate", str(doc))
+        laws = Counter(v["law"] for v in report["violations"])
+        return code, report["result"], report["stats"]["checks"], laws, run(capsys, "univalence", str(doc))[1]["result"]
+
+    verdicts = []
+    for t in structures:
+        text = serialize(document_for([t]))
+        verdicts.append(verdict(text))
+        for _ in range(2):
+            relabeled = _relabeled(text, rng)
+            assert relabeled != text
+            assert verdict(relabeled) == verdicts[-1], t.name
+    assert {v[1] for v in verdicts} == {"valid", "invalid"}
+    assert {v[4] for v in verdicts} == {"univalent", "not-univalent", "invalid"}

@@ -21,6 +21,7 @@ from small_models import (
     naive_associativity,
     naive_entries,
     naive_typ4_estimate,
+    q_typoid,
     relabel,
     same_hom_redirects,
 )
@@ -717,13 +718,18 @@ def test_relabeling_ids_keeps_every_verdict():
     rng = random.Random(15)
     fam = family()
     picked = sorted(rng.sample(range(len(fam)), 60))
+    fat = ((2, 2), (3, 4), (6, 6))
     z6_z8, _ = T.product_typoid(T.equality_typoid(T.cyclic_groupoid(6)), T.equality_typoid(T.cyclic_groupoid(8)))
     structures = (
         [fam[i] for i in picked]
         + [m for i in picked for m in same_hom_redirects(fam[i], i)]
         + [T.equality_typoid(T.codiscrete_groupoid(16)), T.universe_typoid([4, 4]), z6_z8, T.truncate(z6_z8)]
+        + [q_typoid(m, k) for m, k in fat]
     )
     verdicts = [_verdict(t) for t in structures]
+    # Q(m,k) is valid and univalent, and its cells are the residues mod m
+    for (m, k), q, verdict in zip(fat, structures[-3:], verdicts[-3:]):
+        assert verdict[0] and verdict[3] and q.layer.cell == tuple(e % m for e in range(m * k)), q.name
     assert {v[0] for v in verdicts} == {True, False} and {v[3] for v in verdicts} == {True, False, None}
     for t, before in zip(structures, verdicts):
         for _ in range(2):

@@ -20,7 +20,8 @@ answered wrongly.  A few seconds.
 
 reports: `validate_groupoid` (on the base) and `validate_typoid` on the
 stock structures of `tests/corpus.py`, the `family()` of
-`tests/small_models.py`, the benchmark's verify-large rungs, and
+`tests/small_models.py`, the benchmark's verify-large rungs, the
+fat-cell typoids Q(2,2), Q(3,4) and Q(6,6) (`small_models.q_typoid`), and
 single-entry and endpoint-preserving mutants of each; and
 `validate_morphism`, with and without `check_base`, on
 `identity_from_equality` of each stock and `family()` structure and on the
@@ -32,16 +33,17 @@ witness) and `Budget.spent` after it, on the validation's budget.  About
 2 minutes on two cores.
 
 outputs: the generators and every construction on small sizes, the stock
-and `family()` structures and pairs of them, and exponentials at the
-`construct` workload's limits (the default limits refuse most family
-pairs), into `twoedge_typoid`, into a fat cell among them, and from many
-term maps into a disconnected target.  For each product of
-`stock_products()`, also whether each projection and their pairing pass
-`validate_morphism`, with the law counts, and each pointed factor
-certificate's table with whether `verify_certificate` passes it, as plain
-values.  Parts: the `repr` of each output (or raised exception),
-and that of a copy with sorted dicts; a row whose sorted copies agree is
-equal up to dict order, not different.  About 30 s on two cores.
+and `family()` structures and pairs of them, products of Q(2,2) and Q(3,2)
+with each other and with the stock, and exponentials at the `construct`
+workload's limits (the default limits refuse most family pairs), into
+`twoedge_typoid`, into a fat cell among them, into and out of Q(2,2) and
+Q(3,2), and from many term maps into a disconnected target.  For each
+product of `stock_products()`, also whether each projection and their
+pairing pass `validate_morphism`, with the law counts, and each pointed
+factor certificate's table with whether `verify_certificate` passes it, as
+plain values.  Parts: the `repr` of each output (or raised exception), and
+that of a copy with sorted dicts; a row whose sorted copies agree is equal
+up to dict order, not different.  About 1 minute on two cores.
 
 reports and outputs import `tests/corpus.py` and `tests/small_models.py`
 of this checkout under both trees, so those two files may import only
@@ -195,6 +197,7 @@ def report_inputs(T, corpus, small_models, workloads):
             [(f"{kind}:{arg}", writer.rung((kind, arg), f"s{i}")[0])
              for i, (kind, arg) in enumerate(workloads.VERIFY_LARGE)],
         ),
+        ("Q(m,k)", [(f"Q({m},{k})", small_models.q_typoid(m, k)) for m, k in ((2, 2), (3, 4), (6, 6))]),
     ]
     for group, structures in originals:
         for label, t in structures:
@@ -206,7 +209,7 @@ def report_inputs(T, corpus, small_models, workloads):
         for i, (label, t) in enumerate(structures):
             for j, m in enumerate(small_models.same_hom_redirects(t, i)):
                 yield f"{group} redirect", f"{label} redirect #{j}", m
-        if group == "verify-large":
+        if group in ("verify-large", "Q(m,k)"):
             continue
         for i, (label, t) in enumerate(structures):
             yield f"{group} morphism", f"idtoeqv {label}", T.identity_from_equality(t)
@@ -292,6 +295,7 @@ def outputs(T, corpus, small_models):
     family = small_models.family()
     inputs = [*stock.items(), *((f"family[{i}]", t) for i, t in enumerate(family))]
     pairs = {**corpus.stock_base(), **corpus.stock_truncations()}
+    qs = {f"Q({m},{k})": small_models.q_typoid(m, k) for m, k in ((2, 2), (3, 2))}
     for n in range(7):
         yield "discrete_groupoid", str(n), lambda n=n: T.discrete_groupoid(n)
         yield "codiscrete_groupoid", str(n), lambda n=n: T.codiscrete_groupoid(n)
@@ -309,7 +313,9 @@ def outputs(T, corpus, small_models):
     family_pairs = [
         (f"family[{i}] x family[{i + 1}]", family[i], family[i + 1]) for i in range(0, len(family) - 1, 3)
     ]
-    for label, a, b in stock_pairs + family_pairs:
+    with_q = {**pairs, **qs}
+    q_pairs = [(f"{na} x {nb}", a, b) for na, a in with_q.items() for nb, b in with_q.items() if qs.keys() & {na, nb}]
+    for label, a, b in stock_pairs + family_pairs + q_pairs:
         yield "product_typoid", label, lambda a=a, b=b: T.product_typoid(a, b)
     for label, (prod, prov) in corpus.stock_products().items():
         yield "projections and their pairing", label, lambda prod=prod, prov=prov: _product_maps(T, prod, prov)
@@ -333,8 +339,9 @@ def outputs(T, corpus, small_models):
         "eq(codiscrete 3)": cod3,
         "twoedge": twoedge,
         fat.name: fat,
+        **qs,
     }
-    targets = {"twoedge": twoedge, f"{fat.name} (a fat cell)": fat}
+    targets = {"twoedge": twoedge, f"{fat.name} (a fat cell)": fat, **qs}
     wide = [
         ("eq(codiscrete 3) -> eq(codiscrete 3)", cod3, cod3),
         ("eq(Z4) -> eq(Z8)", eq(T.cyclic_groupoid(4)), eq(T.cyclic_groupoid(8))),
