@@ -22,17 +22,13 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from .model import (
-    _EDGE_WORDS,
-    _PATH_WORDS,
     Budget,
     EquivalenceLayer,
     FiniteGroupoid,
     ResourceLimitError,
     Typoid,
-    _edges,
     _Level,
     _out_index,
-    _paths,
     validate_groupoid,
     validate_typoid,
 )
@@ -41,16 +37,6 @@ from .morphisms import TypoidMorphism, _backtrack, _functors, find_path_functor,
 
 # ---------------------------------------------------------------------------
 # canonical id layout
-
-# a level's fields after its words are the table fields, in order
-
-def _groupoid(paths: _Level) -> FiniteGroupoid:
-    return FiniteGroupoid(*paths[1:7])
-
-
-def _layer(edges: _Level) -> EquivalenceLayer:
-    return EquivalenceLayer(*edges[1:7], tuple(edges.cell))
-
 
 def _least(labels) -> tuple[int, ...]:
     """Each id's class label, in id order, replaced by the least id of its
@@ -71,15 +57,15 @@ def _canonical(term_count: int, *units) -> bool:
 
 
 def _presented(keys, ends, compose, inverse, unit, term_count: int, cell=None) -> _Level:
-    """The level whose ids number the sequence `keys` in order.  `ends(k)`
-    gives the terms key k joins; `inverse(k)` and `unit(x)` give keys, and
-    `cell(k)` names k's class by any hashable value.  Composition is asked
-    for a row at a time: `compose(k, out)` gives, in order, the composites
-    of k with each key of `out`, the keys leaving k's end in id order (one
-    shared sequence per term).  Rows are filled in id order, and each cell
-    is labelled by its least id.  Without `cell` each key is a cell of its
-    own.  Keys that start with the units, in term order, give a level in
-    canonical layout."""
+    """The level whose ids number the sequence `keys` in order: a layer,
+    or without `cell` a groupoid.  `ends(k)` gives the terms key k joins;
+    `inverse(k)` and `unit(x)` give keys, and `cell(k)` names k's class by
+    any hashable value.  Composition is asked for a row at a time:
+    `compose(k, out)` gives, in order, the composites of k with each key of
+    `out`, the keys leaving k's end in id order (one shared sequence per
+    term).  Rows are filled in id order, and each cell is labelled by its
+    least id.  Keys that start with the units, in term order, give a level
+    in canonical layout."""
     try:
         index = {k: i for i, k in enumerate(keys)}
         src, dst = tuple(zip(*map(ends, keys))) or ((), ())
@@ -91,16 +77,11 @@ def _presented(keys, ends, compose, inverse, unit, term_count: int, cell=None) -
         table = {}
         for i, (k, y) in enumerate(zip(keys, dst)):
             table.update(zip(zip(itertools.repeat(i), leaving[y]), map(index.__getitem__, compose(k, out[y]))))
-        return _Level(
-            _PATH_WORDS if cell is None else _EDGE_WORDS,
-            term_count,
-            src,
-            dst,
-            tuple(index[unit(x)] for x in range(term_count)),
-            table,
-            tuple(index[inverse(k)] for k in keys),
-            range(len(keys)) if cell is None else _least(map(cell, keys)),
-        )
+        units = tuple(index[unit(x)] for x in range(term_count))
+        tables = (term_count, src, dst, units, table, tuple(index[inverse(k)] for k in keys))
+        if cell is None:
+            return FiniteGroupoid(*tables)
+        return EquivalenceLayer(*tables, _least(map(cell, keys)))
     except KeyError:
         raise AssertionError("presented level is not closed; construction bug") from None
 
@@ -112,16 +93,18 @@ def _units_first(level: _Level) -> tuple[_Level, dict[int, int]]:
     old-to-new id map."""
     order = _units_then(level.unit, range(len(level.src)))
     new = {old: i for i, old in enumerate(order)}
-    permuted = level._replace(
-        src=tuple(level.src[i] for i in order),
-        dst=tuple(level.dst[i] for i in order),
-        unit=tuple(new[level.unit[x]] for x in range(level.term_count)),
-        table=dict(sorted(((new[p], new[q]), new[r]) for (p, q), r in level.table.items())),
-        inv=tuple(new[level.inv[i]] for i in order),
-        # singleton cells, as `_paths` gives them, stay singletons
-        cell=level.cell if isinstance(level.cell, range) else _least(level.cell[i] for i in order),
+    src, dst, unit, inv = level.src, level.dst, level.unit, level.inv
+    tables = (
+        level.term_count,
+        tuple(src[i] for i in order),
+        tuple(dst[i] for i in order),
+        tuple(new[unit[x]] for x in range(level.term_count)),
+        dict(sorted(((new[p], new[q]), new[r]) for (p, q), r in level.table.items())),
+        tuple(new[inv[i]] for i in order),
     )
-    return permuted, new
+    if isinstance(level, FiniteGroupoid):
+        return FiniteGroupoid(*tables), new
+    return EquivalenceLayer(*tables, _least(level.cell[i] for i in order)), new
 
 
 def _renumber(t: Typoid) -> tuple[Typoid, dict[int, int], dict[int, int]]:
@@ -130,12 +113,12 @@ def _renumber(t: Typoid) -> tuple[Typoid, dict[int, int], dict[int, int]]:
     Returns the renumbered typoid and the old-to-new id maps for paths and
     edges.
     """
-    paths, pmap = _units_first(_paths(t.base))
-    edges, emap = _units_first(_edges(t.layer))
+    base, pmap = _units_first(t.base)
+    layer, emap = _units_first(t.layer)
     idtoeqv = [0] * len(pmap)
     for old, new in pmap.items():
         idtoeqv[new] = emap[t.idtoeqv[old]]
-    out = Typoid(name=t.name, base=_groupoid(paths), layer=_layer(edges), idtoeqv=tuple(idtoeqv))
+    out = Typoid(name=t.name, base=base, layer=layer, idtoeqv=tuple(idtoeqv))
     return out, pmap, emap
 
 
@@ -151,7 +134,7 @@ def _require_valid_typoid(t: Typoid) -> None:
 
 def discrete_groupoid(n: int) -> FiniteGroupoid:
     """n terms, refl paths only."""
-    paths = _presented(
+    return _presented(
         range(n),
         ends=lambda x: (x, x),
         compose=lambda _, out: out,  # x is the one path leaving x, and x·x = x
@@ -159,14 +142,13 @@ def discrete_groupoid(n: int) -> FiniteGroupoid:
         unit=lambda x: x,
         term_count=n,
     )
-    return _groupoid(paths)
 
 
 def codiscrete_groupoid(n: int) -> FiniteGroupoid:
     """n terms with exactly one path in every hom-set, the refl paths first."""
     Budget().spend(n**3)  # its composable pairs, as `_presented` charges them, before it lists its paths
     pairs = [(x, x) for x in range(n)] + [(x, y) for x in range(n) for y in range(n) if x != y]
-    paths = _presented(
+    return _presented(
         pairs,
         ends=lambda xy: xy,
         compose=lambda xy, out: [(xy[0], z) for _, z in out],
@@ -174,14 +156,13 @@ def codiscrete_groupoid(n: int) -> FiniteGroupoid:
         unit=lambda x: (x, x),
         term_count=n,
     )
-    return _groupoid(paths)
 
 
 def cyclic_groupoid(n: int) -> FiniteGroupoid:
     """One term whose paths form the cyclic group of order n."""
     if n < 1:
         raise ValueError("cyclic order must be at least 1")
-    paths = _presented(
+    return _presented(
         range(n),
         ends=lambda _: (0, 0),
         compose=lambda i, out: [(i + j) % n for j in out],
@@ -189,7 +170,6 @@ def cyclic_groupoid(n: int) -> FiniteGroupoid:
         unit=lambda _: 0,
         term_count=1,
     )
-    return _groupoid(paths)
 
 
 def is_prop(g: FiniteGroupoid) -> bool:
@@ -217,11 +197,16 @@ def equality_typoid(g: FiniteGroupoid, name: str = "eq") -> Typoid:
     return _equality(g, name)
 
 
+def _as_layer(g: FiniteGroupoid) -> EquivalenceLayer:
+    """A groupoid's paths as a layer: each path is a cell of its own."""
+    return EquivalenceLayer(g.term_count, g.path_src, g.path_dst, g.refl, g.comp, g.inv, tuple(range(g.path_count)))
+
+
 def _equality(g: FiniteGroupoid, name: str) -> Typoid:
     """The equality typoid of a valid groupoid, in canonical id layout."""
     if not _canonical(g.term_count, g.refl):
-        g = _groupoid(_units_first(_paths(g))[0])
-    return Typoid(name=name, base=g, layer=_layer(_paths(g)), idtoeqv=tuple(range(g.path_count)))
+        g = _units_first(g)[0]
+    return Typoid(name=name, base=g, layer=_as_layer(g), idtoeqv=tuple(range(g.path_count)))
 
 
 def identity_from_equality(t: Typoid) -> TypoidMorphism:
@@ -248,7 +233,7 @@ def twoedge_typoid(name: str = "twoedge") -> Typoid:
     is unreachable from the single base path, which makes this the smallest
     non-univalent structure.
     """
-    layer = _layer(_paths(cyclic_groupoid(2)))
+    layer = _as_layer(cyclic_groupoid(2))
     return Typoid(name=name, base=discrete_groupoid(1), layer=layer, idtoeqv=(0,))
 
 
@@ -289,7 +274,7 @@ def _pair(l1: _Level, l2: _Level) -> tuple[_Level, tuple[tuple[int, int], ...]]:
         unit=lambda z: (l1.unit[z // t2], l2.unit[z % t2]),
         term_count=l1.term_count * t2,
         # pairs of singleton cells are singletons
-        cell=None if isinstance(l1.cell, range) else lambda k: (l1.cell[k[0]], l2.cell[k[1]]),
+        cell=None if isinstance(l1, FiniteGroupoid) else lambda k: (l1.cell[k[0]], l2.cell[k[1]]),
     )
     return level, keys
 
@@ -299,13 +284,13 @@ def product_typoid(a: Typoid, b: Typoid, name: str | None = None) -> tuple[Typoi
     splitting tables are the keys."""
     _require_valid_typoid(a)
     _require_valid_typoid(b)
-    paths, split_path = _pair(_paths(a.base), _paths(b.base))
-    edges, split_edge = _pair(_edges(a.layer), _edges(b.layer))
+    base, split_path = _pair(a.base, b.base)
+    layer, split_edge = _pair(a.layer, b.layer)
     prov = ProductProvenance((a, b), split_edge, split_path)
     product = Typoid(
         name=name or f"{a.name}_x_{b.name}",
-        base=_groupoid(paths),
-        layer=_layer(edges),
+        base=base,
+        layer=layer,
         idtoeqv=tuple(prov.pair_edge[(a.idtoeqv[p1], b.idtoeqv[p2])] for p1, p2 in split_path),
     )
     return product, prov
@@ -318,8 +303,8 @@ def _check_provenance(p: Typoid, prov: ProductProvenance) -> None:
     a, b = prov.factors
     tb = b.term_count
     for split, pair, level, l1, l2 in (
-        (prov.split_path, prov.pair_path, _paths(p.base), _paths(a.base), _paths(b.base)),
-        (prov.split_edge, prov.pair_edge, _edges(p.layer), _edges(a.layer), _edges(b.layer)),
+        (prov.split_path, prov.pair_path, p.base, a.base, b.base),
+        (prov.split_edge, prov.pair_edge, p.layer, a.layer, b.layer),
     ):
         once = len(pair) == len(split) == len(level.src) == len(l1.src) * len(l2.src)
         if p.term_count != a.term_count * tb or not once or not all(
@@ -387,7 +372,7 @@ def truncate(t: Typoid, name: str | None = None) -> Typoid:
     own.  The base is kept as given, so a base in canonical layout gives a
     result in canonical layout."""
     _require_valid_typoid(t)
-    layer = _layer(_paths(codiscrete_groupoid(t.term_count)))
+    layer = _as_layer(codiscrete_groupoid(t.term_count))
     idtoeqv = tuple(layer.hom(x, y)[0] for x, y in zip(t.base.path_src, t.base.path_dst))
     return Typoid(name=name or f"{t.name}_t", base=t.base, layer=layer, idtoeqv=idtoeqv)
 
@@ -431,8 +416,8 @@ def _completion_base(layer: EquivalenceLayer) -> tuple[FiniteGroupoid, tuple[int
     cell, star = layer.cell, layer.star
     if cell == tuple(range(layer.edge_count)):
         # singleton cells, so `cell` is the identity: the layer is its own base, star in id-pair order
-        base = _edges(layer)._replace(table=star if list(star) == sorted(star) else dict(sorted(star.items())))
-        return _groupoid(base), cell
+        table = star if list(star) == sorted(star) else dict(sorted(star.items()))
+        return FiniteGroupoid(layer.term_count, layer.edge_src, layer.edge_dst, layer.eqv, table, layer.einv), cell
     reps = sorted(layer.class_members)
     paths = _presented(
         reps,
@@ -443,9 +428,9 @@ def _completion_base(layer: EquivalenceLayer) -> tuple[FiniteGroupoid, tuple[int
         term_count=layer.term_count,
     )
     idtoeqv = list(reps)
-    for x, p in enumerate(paths.unit):
+    for x, p in enumerate(paths.refl):
         idtoeqv[p] = layer.eqv[x]
-    return _groupoid(paths), tuple(idtoeqv)
+    return paths, tuple(idtoeqv)
 
 
 def univalent_completion(t: Typoid, name: str | None = None) -> Typoid:
@@ -453,7 +438,7 @@ def univalent_completion(t: Typoid, name: str | None = None) -> Typoid:
     cells; the result is univalent by construction."""
     _require_valid_typoid(t)
     # a base grown from a layer in canonical layout is in canonical layout
-    layer = _layer(_units_first(_edges(t.layer))[0])
+    layer = _units_first(t.layer)[0]
     base, idtoeqv = _completion_base(layer)
     return Typoid(name=name or f"{t.name}_c", base=base, layer=layer, idtoeqv=idtoeqv)
 
@@ -514,10 +499,9 @@ def exponential_typoid(
     ]
     # over each term map, every base-path functor and every edge action
     terms: list[TypoidMorphism] = []
-    aedges, bedges = _edges(a.layer), _edges(b.layer)
     for f in _backtrack([range(b.term_count)] * a.term_count, map_checks):
         for ap in iter_path_functors(a.base, b.base, f):
-            for phi in _functors(aedges, bedges, b.layer.hom, f):
+            for phi in _functors(a.layer, b.layer, f):
                 if len(terms) >= limits.max_terms:
                     raise ResourceLimitError(
                         "max-terms", f"more than {limits.max_terms} morphisms from {a.name!r} to {b.name!r}"
@@ -576,16 +560,14 @@ def exponential_typoid(
         _, heads, *thetas = zip(*out)
         return zip(itertools.repeat(f1[0]), heads, *map(map, (brow[e].__getitem__ for e in f1[2:]), thetas))
 
-    layer = _layer(
-        _presented(
-            families,
-            ends=lambda fam: fam[:2],
-            compose=compose,
-            inverse=lambda fam: (fam[1], fam[0], *map(beinv.__getitem__, fam[2:])),
-            unit=units.__getitem__,
-            term_count=len(terms),
-            cell=lambda fam: (*fam[:2], *map(bcell.__getitem__, fam[2:])),
-        )
+    layer = _presented(
+        families,
+        ends=lambda fam: fam[:2],
+        compose=compose,
+        inverse=lambda fam: (fam[1], fam[0], *map(beinv.__getitem__, fam[2:])),
+        unit=units.__getitem__,
+        term_count=len(terms),
+        cell=lambda fam: (*fam[:2], *map(bcell.__getitem__, fam[2:])),
     )
     base, idtoeqv = _completion_base(layer)
     edges = tuple(ExponentialEdge(fam[0], fam[1], fam[2:]) for fam in families)
@@ -628,4 +610,4 @@ def universe_typoid(sets: list[int] | tuple[int, ...], name: str = "universe") -
         unit=identities.__getitem__,
         term_count=len(sets),
     )
-    return _equality(_groupoid(paths), name)
+    return _equality(paths, name)

@@ -56,9 +56,7 @@ from .model import (
     Typoid,
     _Level,
     _Words,
-    _edges,
     _out_index,
-    _paths,
 )
 from .morphisms import TypoidMorphism
 
@@ -877,8 +875,8 @@ def _write_typoid(lines: list[str], entry: TypoidEntry, emit) -> None:
         raise ValueError(f"typoid {t.name!r} is not in canonical id layout; use document_for")
     tn, pn, en = entry.term_names, entry.path_names, entry.edge_names
     lines += (f"typoid {t.name} {{", f"  terms {' '.join(tn)} ;" if n else "  terms ;")
-    _write_level(lines, _paths(base), pn, tn, emit)
-    _write_level(lines, _edges(layer), en, tn, emit)
+    _write_level(lines, base, pn, tn, emit)
+    _write_level(lines, layer, en, tn, emit)
     for e in range(layer.edge_count):
         if layer.cell[e] != e:
             lines.append(f"  cell {en[e]} == {en[layer.cell[e]]} ;")
@@ -907,8 +905,7 @@ def _write_level(lines: list[str], level: _Level, names, term_names, emit) -> No
             if (p < n and r == q) or (q < n and r == p):
                 continue
             lines.append(f"  {comp} {names[p]} {op} {names[q]} = {names[r]} ;")
-    for i in range(len(src)):
-        j = level.inv[i]
+    for i, j in enumerate(level.inv):
         if i < n and j == i:
             continue
         lines.append(f"  {inv} {names[i]} = {names[j]} ;")

@@ -86,17 +86,65 @@ class ValidationReport:
         return ValidationReport(tuple(sorted(violations)), dict(counts))
 
 
-class _HomIndex:
-    """Hom-set lookup over a table of ids whose endpoint columns are the
-    fields named by `_ends`."""
+class _Words(NamedTuple):
+    """What a level is called by the checker, the morphism laws and the
+    text format.  Templates get the id checked and the composite found
+    (units, inverses), p, q, r and both bracketings (associativity), or the
+    term or pair (a morphism's laws); the E104 clause `apart` gets both
+    names and the terms where a pair does not compose."""
 
-    _ends: tuple[str, str]
+    item: str
+    unit: str
+    comp: str
+    inv: str
+    laws: tuple[str, str, str]  # unit laws, inverse laws, associativity
+    units: tuple[str, str, str, str]  # left and right unit, forward and backward inverse
+    assoc: str
+    functor: tuple[str, str, str, str]  # a morphism's unit law, its wording, composition law, its wording
+    arrow: str  # text: declaration arrow, composition operator, inverse row keyword
+    op: str
+    inv_row: str
+    apart: str
+
+
+_PATH_WORDS = _Words(
+    "path", "refl", "comp", "inv", ("Groupoid", "Groupoid", "Groupoid"),
+    units=(
+        "comp(refl, {0}) = {1}, expected {0}",
+        "comp({0}, refl) = {1}, expected {0}",
+        "comp({0}, inv {0}) = {1} is not refl",
+        "comp(inv {0}, {0}) = {1} is not refl",
+    ),
+    assoc="comp(comp({0},{1}),{2}) = {3} but comp({0},comp({1},{2})) = {4}",
+    functor=("ApFunctor", "refl of term {0} must map to refl of its image",
+             "ApFunctor", "image of comp({0},{1}) is not the comp of the images"),
+    arrow="->", op=".", inv_row="pinv", apart=": {0!r} ends at {1!r} but {2!r} starts at {3!r}",
+)
+_EDGE_WORDS = _Words(
+    "edge", "eqv", "star", "einv", ("Typ1", "Typ2", "Typ3"),
+    units=(
+        "star(eqv, {0}) = {1} is not in the cell of {0}",
+        "star({0}, eqv) = {1} is not in the cell of {0}",
+        "star({0}, einv {0}) = {1} is not in the cell of eqv",
+        "star(einv {0}, {0}) = {1} is not in the cell of eqv",
+    ),
+    assoc="star(star({0},{1}),{2}) and star({0},star({1},{2})) are in different cells",
+    functor=("UnitPres", "image of eqv at term {0} is not in the cell of eqv",
+             "CompPres", "image of star({0},{1}) is not in the cell of the star of the images"),
+    arrow="~", op="*", inv_row="einv", apart="",
+)
+
+
+class _Level:
+    """One level as the law checker reads it: ids with endpoints `src` and
+    `dst`, a `unit` per term, a composition `table`, an inverse `inv` and a
+    `cell` map, called by `words`.  Each level class maps its own fields
+    onto these names; paths are the level whose cells are singletons."""
 
     @cached_property
     def _hom(self) -> dict[tuple[int, int], tuple[int, ...]]:
-        src, dst = (getattr(self, name) for name in self._ends)
         out: dict[tuple[int, int], list[int]] = {}
-        for i, ends in enumerate(zip(src, dst)):
+        for i, ends in enumerate(zip(self.src, self.dst)):
             out.setdefault(ends, []).append(i)
         return {k: tuple(v) for k, v in out.items()}
 
@@ -105,7 +153,7 @@ class _HomIndex:
 
 
 @dataclass(frozen=True)
-class FiniteGroupoid(_HomIndex):
+class FiniteGroupoid(_Level):
     """Strict groupoid on terms 0..term_count-1.
 
     Paths are dense ids with endpoint tables; `comp` is keyed by composable
@@ -119,7 +167,12 @@ class FiniteGroupoid(_HomIndex):
     comp: Mapping[tuple[int, int], int]
     inv: tuple[int, ...]
 
-    _ends = ("path_src", "path_dst")
+    words = _PATH_WORDS
+    src = property(lambda self: self.path_src)
+    dst = property(lambda self: self.path_dst)
+    unit = property(lambda self: self.refl)
+    table = property(lambda self: self.comp)
+    cell = property(lambda self: range(self.path_count))
 
     @property
     def path_count(self) -> int:
@@ -127,7 +180,7 @@ class FiniteGroupoid(_HomIndex):
 
 
 @dataclass(frozen=True)
-class EquivalenceLayer(_HomIndex):
+class EquivalenceLayer(_Level):
     """Edges with composition (`star`), inversion and per-hom cell labels.
 
     `cell[e]` is the representative of e's cell: the least edge id in the
@@ -142,7 +195,12 @@ class EquivalenceLayer(_HomIndex):
     einv: tuple[int, ...]
     cell: tuple[int, ...]
 
-    _ends = ("edge_src", "edge_dst")
+    words = _EDGE_WORDS
+    src = property(lambda self: self.edge_src)
+    dst = property(lambda self: self.edge_dst)
+    unit = property(lambda self: self.eqv)
+    table = property(lambda self: self.star)
+    inv = property(lambda self: self.einv)
 
     @property
     def edge_count(self) -> int:
@@ -329,85 +387,10 @@ def _generators(
     return generators
 
 
-class _Words(NamedTuple):
-    """What a level is called by the checker, the morphism laws and the
-    text format.  Templates get the id checked and the composite found
-    (units, inverses), p, q, r and both bracketings (associativity), or the
-    term or pair (a morphism's laws); the E104 clause `apart` gets both
-    names and the terms where a pair does not compose."""
-
-    item: str
-    unit: str
-    comp: str
-    inv: str
-    laws: tuple[str, str, str]  # unit laws, inverse laws, associativity
-    units: tuple[str, str, str, str]  # left and right unit, forward and backward inverse
-    assoc: str
-    functor: tuple[str, str, str, str]  # a morphism's unit law, its wording, composition law, its wording
-    arrow: str  # text: declaration arrow, composition operator, inverse row keyword
-    op: str
-    inv_row: str
-    apart: str
-
-
-_PATH_WORDS = _Words(
-    "path", "refl", "comp", "inv", ("Groupoid", "Groupoid", "Groupoid"),
-    units=(
-        "comp(refl, {0}) = {1}, expected {0}",
-        "comp({0}, refl) = {1}, expected {0}",
-        "comp({0}, inv {0}) = {1} is not refl",
-        "comp(inv {0}, {0}) = {1} is not refl",
-    ),
-    assoc="comp(comp({0},{1}),{2}) = {3} but comp({0},comp({1},{2})) = {4}",
-    functor=("ApFunctor", "refl of term {0} must map to refl of its image",
-             "ApFunctor", "image of comp({0},{1}) is not the comp of the images"),
-    arrow="->", op=".", inv_row="pinv", apart=": {0!r} ends at {1!r} but {2!r} starts at {3!r}",
-)
-_EDGE_WORDS = _Words(
-    "edge", "eqv", "star", "einv", ("Typ1", "Typ2", "Typ3"),
-    units=(
-        "star(eqv, {0}) = {1} is not in the cell of {0}",
-        "star({0}, eqv) = {1} is not in the cell of {0}",
-        "star({0}, einv {0}) = {1} is not in the cell of eqv",
-        "star(einv {0}, {0}) = {1} is not in the cell of eqv",
-    ),
-    assoc="star(star({0},{1}),{2}) and star({0},star({1},{2})) are in different cells",
-    functor=("UnitPres", "image of eqv at term {0} is not in the cell of eqv",
-             "CompPres", "image of star({0},{1}) is not in the cell of the star of the images"),
-    arrow="~", op="*", inv_row="einv", apart="",
-)
-
-
-class _Level(NamedTuple):
-    """One level as the law checker reads it: ids with endpoints, a unit
-    per term, a composition table, an inverse and a cell map.  Paths are
-    the level whose cells are singletons."""
-
-    words: _Words
-    term_count: int
-    src: tuple[int, ...]
-    dst: tuple[int, ...]
-    unit: tuple[int, ...]
-    table: Mapping[tuple[int, int], int]
-    inv: tuple[int, ...]
-    cell: Sequence[int]
-
-
-def _paths(g: FiniteGroupoid) -> _Level:
-    """A groupoid's paths as a level: each path is a cell of its own."""
-    return _Level(_PATH_WORDS, g.term_count, g.path_src, g.path_dst, g.refl, g.comp, g.inv, range(g.path_count))
-
-
-def _edges(layer: EquivalenceLayer) -> _Level:
-    """A layer's edges as a level."""
-    return _Level(
-        _EDGE_WORDS, layer.term_count, layer.edge_src, layer.edge_dst, layer.eqv, layer.star, layer.einv, layer.cell
-    )
-
-
-def _unreadable(level: _Level) -> list[str]:
-    """Why a level's id tables cannot be read: lengths or id ranges."""
-    w, term_count, src, dst, unit, _, inv, cell = level
+def _unreadable(level: _Level, term_count: int) -> list[str]:
+    """Why a level's id tables cannot be read, with its ends among
+    `term_count` terms: lengths or id ranges."""
+    w, src, dst, unit, inv, cell = level.words, level.src, level.dst, level.unit, level.inv, level.cell
     n = len(src)
     broken = [
         detail
@@ -433,17 +416,17 @@ def _unreadable(level: _Level) -> list[str]:
 def _malformed(level: _Level, violations: list[Violation]) -> bool:
     """Bookkeeping on a level's tables: lengths and id ranges, then the
     endpoints of units and inverses.  True when the tables cannot be read."""
-    w, _, src, dst, unit, _, inv, _ = level
-    broken = _unreadable(level)
+    w, src, dst = level.words, level.src, level.dst
+    broken = _unreadable(level, level.term_count)
     violations.extend(Violation("Bookkeeping", (), detail) for detail in broken)
     if broken:
         return True
-    for x, r in enumerate(unit):
+    for x, r in enumerate(level.unit):
         if (src[r], dst[r]) != (x, x):
             violations.append(
                 Violation("Bookkeeping", (x, r), f"{w.unit} of term {x} is {w.item} {r} with other endpoints")
             )
-    for p, q in enumerate(inv):
+    for p, q in enumerate(level.inv):
         if (src[q], dst[q]) != (dst[p], src[p]):
             violations.append(Violation("Bookkeeping", (p, q), f"{w.inv} of {w.item} {p} does not swap endpoints"))
     return False
@@ -455,9 +438,9 @@ def _level_laws(
     """The unit and inverse laws of a readable level, up to its cells, and
     the charge for its associativity.  Returns the composition table split
     into rows and the number of composable triples charged."""
-    w, term_count, src, dst, unit, table, inv, cell = level
-    out = _out_index(src, term_count)
-    rows = _table_rows(w.comp, table, src, dst, out, violations)
+    w, src, dst, unit, inv, cell = level.words, level.src, level.dst, level.unit, level.inv, level.cell
+    out = _out_index(src, level.term_count)
+    rows = _table_rows(w.comp, level.table, src, dst, out, violations)
     unit_law, inv_law, _ = w.laws
     left, right, forward, backward = w.units
     # one charge per law name, in order: paths spend units and inverses at
@@ -500,9 +483,9 @@ def _associativity_law(
     one; then all `triples` hold.  Otherwise every middle is checked, so
     the count and the witnesses are those of the exhaustive check.
     """
-    w, _, src, dst, unit, _, _, cell = level
+    w, src, cell = level.words, level.src, level.cell
     assoc, bad = triples, []
-    if not clean or _associativity(rows, cell, _generators(rows, unit, src, dst))[1]:
+    if not clean or _associativity(rows, cell, _generators(rows, level.unit, src, level.dst))[1]:
         assoc, bad = _associativity(rows, cell, range(len(src)))
     law = w.laws[2]
     counts[law] = counts.get(law, 0) + assoc
@@ -556,11 +539,10 @@ def validate_groupoid(g: FiniteGroupoid, budget: Budget | None = None) -> Valida
     counts: dict[str, int] = {}
     if g.term_count < 0:
         violations.append(Violation("Bookkeeping", (), "negative term count"))
-    paths = _paths(g)
     clean_from = len(violations)
-    if not _malformed(paths, violations):
-        rows, triples = _level_laws(paths, violations, counts, budget)
-        _associativity_law(paths, rows, triples, len(violations) == clean_from, violations, counts)
+    if not _malformed(g, violations):
+        rows, triples = _level_laws(g, violations, counts, budget)
+        _associativity_law(g, rows, triples, len(violations) == clean_from, violations, counts)
     return ValidationReport.collect(violations, counts)
 
 
@@ -578,9 +560,8 @@ def validate_typoid(t: Typoid, budget: Budget | None = None) -> ValidationReport
             Violation("Bookkeeping", (), "base and layer disagree on the term count")
         )
         return ValidationReport.collect(violations, counts)
-    edges = _edges(layer)
     clean_from = len(violations)
-    if _malformed(edges, violations):
+    if _malformed(layer, violations):
         return ValidationReport.collect(violations, counts)
 
     # Partition well-formedness: labels stay inside the hom-set, are
@@ -613,10 +594,10 @@ def validate_typoid(t: Typoid, budget: Budget | None = None) -> ValidationReport
         # would only produce noise on top of the Partition reports
         return ValidationReport.collect(violations, counts)
 
-    rows, triples = _level_laws(edges, violations, counts, budget)
+    rows, triples = _level_laws(layer, violations, counts, budget)
     # Typ4 comes before Typ3, whose generator check needs congruence
     typ4 = _congruence(layer, rows, violations, budget)
-    _associativity_law(edges, rows, triples, len(violations) == clean_from, violations, counts)
+    _associativity_law(layer, rows, triples, len(violations) == clean_from, violations, counts)
     counts["Typ4"] = typ4
     cell = layer.cell
 

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .model import Budget, Typoid, ValidationReport, Violation, _constant_on_cells, _edges, _Level, _paths
-from .model import _ids_in_range, _unreadable
+from .model import Budget, Typoid, ValidationReport, Violation, _constant_on_cells, _ids_in_range, _Level, _unreadable
 
 
 @dataclass(frozen=True)
@@ -56,36 +55,33 @@ def validate_morphism(
         violations.append(Violation("Bookkeeping", (), "term map value out of range"))
     # the laws read every id of both endpoints' tables; edge ends index the term map
     for side, t in (("source", src), ("target", dst)):
-        for level in (_paths(t.base), _edges(t.layer)._replace(term_count=t.term_count)):
-            broken = _unreadable(level)
+        for level in (t.base, t.layer):
+            broken = _unreadable(level, t.term_count)
             if not _ids_in_range({*chain.from_iterable(level.table), *level.table.values()}, len(level.src)):
                 broken.append(f"{level.words.comp} id out of range")
             violations += (Violation("Bookkeeping", (), f"{side} {detail}") for detail in broken)
     if violations:
         return ValidationReport.collect(violations, counts)
 
-    levels = (
-        (m.path_map, _paths(src.base), _paths(dst.base)),
-        (m.edge_map, _edges(src.layer), _edges(dst.layer)),
-    )
+    levels = ((m.path_map, src.base, dst.base), (m.edge_map, src.layer, dst.layer))
     for table, s, d in levels:
-        what = s.words.item
+        what, s_src, s_dst, d_src, d_dst = s.words.item, s.src, s.dst, d.src, d.dst
         for i, j in enumerate(table):
-            if not 0 <= j < len(d.src):
+            if not 0 <= j < len(d_src):
                 violations.append(Violation("Bookkeeping", (i,), f"{what} {i} maps to out-of-range {what} {j}"))
-            elif (d.src[j], d.dst[j]) != (m.term_map[s.src[i]], m.term_map[s.dst[i]]):
+            elif (d_src[j], d_dst[j]) != (m.term_map[s_src[i]], m.term_map[s_dst[i]]):
                 violations.append(Violation("Bookkeeping", (i, j), f"image of {what} {i} has wrong endpoints"))
     if violations:
         return ValidationReport.collect(violations, counts)
 
     for table, s, d in levels[not check_base:]:
         unit_law, unit_detail, comp_law, comp_detail = s.words.functor
-        dcell = d.cell
+        dcell, s_unit, d_unit, composite = d.cell, s.unit, d.unit, d.table.get
         for x, y in enumerate(m.term_map):
-            if dcell[table[s.unit[x]]] != dcell[d.unit[y]]:
+            if dcell[table[s_unit[x]]] != dcell[d_unit[y]]:
                 violations.append(Violation(unit_law, (x,), unit_detail.format(x)))
         for (p, q), pq in s.table.items():
-            image = d.table.get((table[p], table[q]))
+            image = composite((table[p], table[q]))
             if image is None or dcell[table[pq]] != dcell[image]:
                 violations.append(Violation(comp_law, (p, q), comp_detail.format(p, q)))
         counts[unit_law] = len(m.term_map)
@@ -167,15 +163,15 @@ def _backtrack(
             k += 1
 
 
-def _functors(src: _Level, dst: _Level, hom, term_map) -> Iterator[tuple[int, ...]]:
+def _functors(src: _Level, dst: _Level, term_map) -> Iterator[tuple[int, ...]]:
     """Every map of src's ids to dst's over the term map that sends units
     into the cell of the image's unit, composites into the cell of the
     composite of the images, and cell-mates into one cell, in lexicographic
     order: id i ranges over hom(f(src i), f(dst i)), a unit over its cell."""
-    dcell = dst.cell
+    dcell, dunit, hom = dst.cell, dst.unit, dst.hom
     options = [hom(term_map[x], term_map[y]) for x, y in zip(src.src, src.dst)]
     for x, u in enumerate(src.unit):
-        unit_cell = dcell[dst.unit[term_map[x]]]
+        unit_cell = dcell[dunit[term_map[x]]]
         options[u] = [q for q in options[u] if dcell[q] == unit_cell]
     composite_cell = {pq: dcell[r] for pq, r in dst.table.items()}
     checks = [
@@ -189,7 +185,7 @@ def _functors(src: _Level, dst: _Level, hom, term_map) -> Iterator[tuple[int, ..
 def iter_path_functors(src, dst, term_map) -> Iterator[tuple[int, ...]]:
     """All strict base-path functors over the given term map, in
     lexicographic order: the path level's maps into singleton cells."""
-    yield from _functors(_paths(src), _paths(dst), dst.hom, term_map)
+    yield from _functors(src, dst, term_map)
 
 
 def find_path_functor(src, dst, term_map) -> tuple[int, ...]:

@@ -28,8 +28,6 @@ from typoid.constructions import (
     ExponentialLimits,
     ExponentialProvenance,
     ProductProvenance,
-    _layer,
-    _presented,
     _renumber,
     cyclic_groupoid,
 )
@@ -43,7 +41,6 @@ from typoid.model import (
     ValidationReport,
     Violation,
     _constant_on_cells,
-    _edges,
     _malformed,
     validate_typoid,
 )
@@ -399,20 +396,14 @@ def family(
 
 
 def q_typoid(m: int, k: int) -> Typoid:
-    """Q(m, k): one term, base Z_m, edges Z_{mk} under `star` addition mod
-    mk, the residues mod m as cells (k edges each), and `idtoeqv` sending p
-    to p.  Valid and univalent; its cells grow fat with k."""
-    n = m * k
-    edges = _presented(
-        range(n),
-        ends=lambda _: (0, 0),
-        compose=lambda i, out: [(i + j) % n for j in out],
-        inverse=lambda i: -i % n,
-        unit=lambda _: 0,
-        term_count=1,
-        cell=lambda i: i % m,
-    )
-    return Typoid(f"q{m}_{k}", cyclic_groupoid(m), _layer(edges), tuple(range(m)))
+    """Q(m, k): one term, base Z_m, as edges the paths of Z_{mk} (`star` is
+    addition mod mk), the residues mod m as cells (k edges each), and
+    `idtoeqv` sending p to p.  Valid and univalent; its cells grow fat with
+    k.  Built from public constructors only."""
+    z = cyclic_groupoid(m * k)
+    cells = tuple(i % m for i in range(m * k))
+    layer = EquivalenceLayer(z.term_count, z.path_src, z.path_dst, z.refl, z.comp, z.inv, cells)
+    return Typoid(f"q{m}_{k}", cyclic_groupoid(m), layer, tuple(range(m)))
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +435,7 @@ def derived_laws(t: Typoid, budget: Budget | None = None) -> ValidationReport:
     cell = layer.cell
     violations: list[Violation] = []
     counts: dict[str, int] = {}
-    if _malformed(_edges(layer), violations):
+    if _malformed(layer, violations):
         return ValidationReport.collect(violations, counts)
 
     unit = 0

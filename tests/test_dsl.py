@@ -6,6 +6,7 @@ import time
 from bisect import bisect_left
 from functools import lru_cache
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,7 +27,7 @@ from typoid.dsl import (
 )
 
 from corpus import full_stock, stock_products
-from small_models import family, structurally_equal
+from small_models import family, permuted, structurally_equal
 
 Z2_SOURCE = """\
 typoid Z2 {
@@ -224,6 +225,24 @@ def test_round_trip_morphisms():
     assert parsed.term_map == pr1.term_map
     assert parsed.path_map == pr1.path_map
     assert parsed.edge_map == pr1.edge_map
+
+
+def test_document_for_refuses_a_morphism_between_other_typoids():
+    m = T.identity_from_equality(T.twoedge_typoid())  # from the unit typoid into twoedge
+    assert document_for([T.unit_typoid(), T.twoedge_typoid()], [m]).morphism_entries()
+    with pytest.raises(ValueError, match="not part of the document"):
+        document_for([T.unit_typoid()], [m])
+
+
+def test_serialize_refuses_an_entry_out_of_canonical_layout():
+    late = permuted(T.codiscrete_groupoid(2), (2, 0, 3, 1))  # refl paths 1 and 3
+    layer = T.EquivalenceLayer(2, late.path_src, late.path_dst, late.refl, late.comp, late.inv, (0, 1, 2, 3))
+    t = T.Typoid("late", late, layer, (0, 1, 2, 3))
+    assert T.validate_typoid(t).valid
+    entry = dsl.TypoidEntry(t, ("x", "y"), ("a", "b", "c", "d"), ("e", "f", "g", "h"), dsl.Span(1, 1, 0))
+    with pytest.raises(ValueError, match="not in canonical id layout"):
+        serialize(dsl.Document((entry,)))
+    assert parse(serialize(document_for([t]))).ok  # document_for renumbers it
 
 
 def test_round_trip_preserves_non_default_absorption_rows():
@@ -494,6 +513,13 @@ def test_statement_pass_reads_well_formed_documents_like_the_token_parser():
     for text in _documents():
         assert dsl._scan(text) is not None  # well-formed text never falls back
         _same_as_token_parser(text)
+
+
+def test_statement_pass_gives_up_at_a_block_header_inside_a_block():
+    text = "typoid A {\n  terms x ;\ntypoid B {\n  terms y ;\n}\n"
+    assert dsl._scan(text) is None
+    assert [d.code for d in parse(text).diagnostics] == [E_SYNTAX]
+    _same_as_token_parser(text)
 
 
 def test_assembly_diagnostics_are_worded_as_pinned():

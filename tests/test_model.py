@@ -141,6 +141,36 @@ def test_unit_absorption_outside_cell_is_typ1_violation():
     assert any(v.law == "Typ1" and v.witness == (1,) for v in report.violations)
 
 
+def test_level_classes_keep_their_fields_repr_and_replace():
+    # the benchmark's workloads and tools/tree_diff.py rebuild both classes by these names
+    assert [f.name for f in dataclasses.fields(FiniteGroupoid)] == [
+        "term_count", "path_src", "path_dst", "refl", "comp", "inv",
+    ]
+    assert [f.name for f in dataclasses.fields(EquivalenceLayer)] == [
+        "term_count", "edge_src", "edge_dst", "eqv", "star", "einv", "cell",
+    ]
+    t = T.equality_typoid(T.cyclic_groupoid(3))
+    base, layer = t.base, t.layer
+    # each class reads its own fields as a level; paths are singleton cells
+    assert (base.src, base.dst, base.unit, base.table, base.cell) == (
+        base.path_src, base.path_dst, base.refl, base.comp, range(3)
+    )
+    assert (layer.src, layer.dst, layer.unit, layer.table, layer.inv) == (
+        layer.edge_src, layer.edge_dst, layer.eqv, layer.star, layer.einv
+    )
+    for level in (base, layer):
+        with pytest.raises(AttributeError):
+            level.src = ()
+        fields = ", ".join(f"{f.name}={getattr(level, f.name)!r}" for f in dataclasses.fields(level))
+        assert repr(level) == f"{type(level).__name__}({fields})"
+    # one entry redirected: 1·1 is 2 in Z3, not 0
+    for changed in (
+        dataclasses.replace(t, base=dataclasses.replace(base, comp={**base.comp, (1, 1): 0})),
+        dataclasses.replace(t, layer=dataclasses.replace(layer, star={**layer.star, (1, 1): 0})),
+    ):
+        assert not T.validate_typoid(changed).valid
+
+
 def test_cells_equal():
     two = T.twoedge_typoid()
     eqv, extra = two.layer.eqv[0], 1
@@ -433,14 +463,6 @@ _Z2 = dict(_Z2G.comp)
 _BROKEN = {**{k: v for k, v in _P2G.comp.items() if k != (2, 3)}, (0, 0): 9, (2, 1): 3, (2, 2): 0}
 
 
-def _paths(*tables) -> T.ValidationReport:
-    return T.validate_groupoid(FiniteGroupoid(*tables))
-
-
-def _edges(base: FiniteGroupoid, layer: EquivalenceLayer, idtoeqv=(0, 1, 2, 3)) -> T.ValidationReport:
-    return T.validate_typoid(Typoid("t", base, layer, idtoeqv))
-
-
 def _prop2_layer(eqv=(0, 1), star=_P2G.comp, einv=(0, 1, 3, 2), cell=(0, 1, 2, 3)) -> EquivalenceLayer:
     return EquivalenceLayer(2, _SRC, _DST, eqv, star, einv, cell)
 
@@ -469,26 +491,34 @@ _CONGRUENCE_STAR = {
     (0, 0): 0, (0, 1): 1, (1, 0): 1, (0, 2): 2, (2, 0): 2, (1, 1): 0, (1, 2): 0, (2, 1): 2, (2, 2): 0,
 }
 _CASES = {
-    "paths-negative": lambda: _paths(-1, (), (), (), {}, ()),
-    "paths-lengths": lambda: _paths(1, (0, 0), (0,), (0, 0), {}, (0,)),
-    "paths-range": lambda: _paths(1, (0,), (1,), (0,), {}, (0,)),
-    "paths-tables": lambda: _paths(2, _SRC, _DST, (0, 3), _BROKEN, (0, 1, 2, 2)),
-    "paths-left-unit": lambda: _paths(1, *_Z2_LOOPS, {**_Z2, (0, 1): 0}, (0, 1)),
-    "paths-right-unit": lambda: _paths(1, *_Z2_LOOPS, {**_Z2, (1, 0): 0}, (0, 1)),
-    "paths-inverse": lambda: _paths(1, *_Z2_LOOPS, {**_Z2, (1, 1): 1}, (0, 1)),
-    "edges-term-count": lambda: _edges(_P2G, EquivalenceLayer(1, (), (), (0,), {}, (), ())),
-    "edges-lengths": lambda: _edges(_P2G, EquivalenceLayer(2, _SRC, _DST[:3], (0,), {}, (0,), (0,))),
-    "edges-range": lambda: _edges(_P2G, _prop2_layer(cell=(0, 1, 2, 4))),
-    "edges-tables": lambda: _edges(_P2G, _prop2_layer((0, 3), _BROKEN, (0, 1, 2, 2))),
-    "edges-partition": lambda: _edges(_P2G, _prop2_layer(cell=(1, 1, 3, 3))),
-    "edges-representatives": lambda: _edges(_DISC1, _loops({}, (0, 1, 2), (0, 2, 1)), (0,)),
-    "edges-left-unit": lambda: _edges(_Z2G, _z2_layer({**_Z2, (0, 1): 0}), (0, 1)),
-    "edges-right-unit": lambda: _edges(_Z2G, _z2_layer({**_Z2, (1, 0): 0}), (0, 1)),
-    "edges-inverse": lambda: _edges(_Z2G, _z2_layer({**_Z2, (1, 1): 1}), (0, 1)),
-    "edges-congruence": lambda: _edges(_DISC1, _loops(_CONGRUENCE_STAR, (0, 1, 2), (0, 1, 1)), (0,)),
-    "idtoeqv-length": lambda: _edges(_P2G, _prop2_layer(), (0, 1)),
-    "idtoeqv-entries": lambda: _edges(_P2G, _prop2_layer(), (0, 1, 3, 7)),
-    "idtoeqv-laws": lambda: _edges(_Z2G, _z2_layer(_Z2), (1, 1)),
+    "paths-negative": lambda: T.validate_groupoid(FiniteGroupoid(-1, (), (), (), {}, ())),
+    "paths-lengths": lambda: T.validate_groupoid(FiniteGroupoid(1, (0, 0), (0,), (0, 0), {}, (0,))),
+    "paths-range": lambda: T.validate_groupoid(FiniteGroupoid(1, (0,), (1,), (0,), {}, (0,))),
+    "paths-tables": lambda: T.validate_groupoid(FiniteGroupoid(2, _SRC, _DST, (0, 3), _BROKEN, (0, 1, 2, 2))),
+    "paths-left-unit": lambda: T.validate_groupoid(FiniteGroupoid(1, *_Z2_LOOPS, {**_Z2, (0, 1): 0}, (0, 1))),
+    "paths-right-unit": lambda: T.validate_groupoid(FiniteGroupoid(1, *_Z2_LOOPS, {**_Z2, (1, 0): 0}, (0, 1))),
+    "paths-inverse": lambda: T.validate_groupoid(FiniteGroupoid(1, *_Z2_LOOPS, {**_Z2, (1, 1): 1}, (0, 1))),
+    "edges-term-count": lambda: T.validate_typoid(
+        Typoid("t", _P2G, EquivalenceLayer(1, (), (), (0,), {}, (), ()), (0, 1, 2, 3))
+    ),
+    "edges-lengths": lambda: T.validate_typoid(
+        Typoid("t", _P2G, EquivalenceLayer(2, _SRC, _DST[:3], (0,), {}, (0,), (0,)), (0, 1, 2, 3))
+    ),
+    "edges-range": lambda: T.validate_typoid(Typoid("t", _P2G, _prop2_layer(cell=(0, 1, 2, 4)), (0, 1, 2, 3))),
+    "edges-tables": lambda: T.validate_typoid(
+        Typoid("t", _P2G, _prop2_layer((0, 3), _BROKEN, (0, 1, 2, 2)), (0, 1, 2, 3))
+    ),
+    "edges-partition": lambda: T.validate_typoid(Typoid("t", _P2G, _prop2_layer(cell=(1, 1, 3, 3)), (0, 1, 2, 3))),
+    "edges-representatives": lambda: T.validate_typoid(Typoid("t", _DISC1, _loops({}, (0, 1, 2), (0, 2, 1)), (0,))),
+    "edges-left-unit": lambda: T.validate_typoid(Typoid("t", _Z2G, _z2_layer({**_Z2, (0, 1): 0}), (0, 1))),
+    "edges-right-unit": lambda: T.validate_typoid(Typoid("t", _Z2G, _z2_layer({**_Z2, (1, 0): 0}), (0, 1))),
+    "edges-inverse": lambda: T.validate_typoid(Typoid("t", _Z2G, _z2_layer({**_Z2, (1, 1): 1}), (0, 1))),
+    "edges-congruence": lambda: T.validate_typoid(
+        Typoid("t", _DISC1, _loops(_CONGRUENCE_STAR, (0, 1, 2), (0, 1, 1)), (0,))
+    ),
+    "idtoeqv-length": lambda: T.validate_typoid(Typoid("t", _P2G, _prop2_layer(), (0, 1))),
+    "idtoeqv-entries": lambda: T.validate_typoid(Typoid("t", _P2G, _prop2_layer(), (0, 1, 3, 7))),
+    "idtoeqv-laws": lambda: T.validate_typoid(Typoid("t", _Z2G, _z2_layer(_Z2), (1, 1))),
     "derived-inv-cong": lambda: derived_laws(Typoid("t", _DISC1, _loops({}, (0, 2, 1), (0, 0, 2)), (0,))),
     "ua-cong": lambda: T.verify_certificate(_one_cell(), T.UnivalenceCertificate("t", (0, 1))),
     "cell-pres": lambda: T.validate_morphism(

@@ -13,7 +13,7 @@ from typoid.model import EquivalenceLayer, Typoid
 from typoid.morphisms import identity_morphism
 
 from corpus import stock_base, stock_products
-from small_models import check_inverse_law, is_strict, naive_path_functors, permuted, small_groupoids
+from small_models import check_inverse_law, is_strict, naive_path_functors, permuted, q_typoid, small_groupoids
 
 
 def rich_unit_cell_typoid(name: str = "rich") -> Typoid:
@@ -70,6 +70,18 @@ def test_morphism_moving_eqv_out_of_its_cell_is_rejected():
     report = T.validate_morphism(m)
     assert not report.valid
     assert any(v.law == "UnitPres" for v in report.violations)
+
+
+def test_cell_pres_compares_every_member_of_a_cell():
+    # only edge 3, a middle member of the cell {0, 3, 6, 9} of Q(3,4),
+    # leaves the image cell, so comparing a cell's ends would miss it
+    q = q_typoid(3, 4)
+    assert q.layer.class_members[0] == (0, 3, 6, 9)
+    edge_map = tuple(1 if e == 3 else e for e in range(12))
+    report = T.validate_morphism(T.TypoidMorphism("m", q, q, (0,), (0, 1, 2), edge_map))
+    cell_pres = [v.witness for v in report.violations if v.law == "CellPres"]
+    assert cell_pres == [(0, 3), (3, 0), (3, 6), (3, 9), (6, 3), (9, 3)]
+    assert report.law_counts["CellPres"] == 3 * 4 * 4
 
 
 def test_nonstrict_morphism_with_fat_unit_cell():

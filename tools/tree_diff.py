@@ -21,7 +21,9 @@ answered wrongly.  A few seconds.
 reports: `validate_groupoid` (on the base) and `validate_typoid` on the
 stock structures of `tests/corpus.py`, the `family()` of
 `tests/small_models.py`, the benchmark's verify-large rungs, the
-fat-cell typoids Q(2,2), Q(3,4) and Q(6,6) (`small_models.q_typoid`), and
+fat-cell typoids Q(2,2), Q(3,4) and Q(6,6) (`small_models.q_typoid`, the
+paths of `cyclic_groupoid(m*k)` as an `EquivalenceLayer` with cells
+i % m, so both trees build Q from public constructors alone), and
 single-entry and endpoint-preserving mutants of each; and
 `validate_morphism`, with and without `check_base`, on
 `identity_from_equality` of each stock and `family()` structure and on the
