@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Mapping
@@ -29,6 +30,7 @@ from .model import (
     Typoid,
     _Level,
     _out_index,
+    _Table,
     validate_groupoid,
     validate_typoid,
 )
@@ -69,14 +71,15 @@ def _presented(keys, ends, compose, inverse, unit, term_count: int, cell=None) -
     try:
         index = {k: i for i, k in enumerate(keys)}
         src, dst = tuple(zip(*map(ends, keys))) or ((), ())
-        leaving = _out_index(src, term_count)
+        table = _Table(src, dst, term_count, array("i"))
         # validating the level spends at least one instance per composable
         # pair, so a level the budget cannot pay for is refused unbuilt
-        Budget().spend(sum(len(leaving[y]) for y in dst))
-        out = [tuple(map(keys.__getitem__, ids)) for ids in leaving]
-        table = {}
-        for i, (k, y) in enumerate(zip(keys, dst)):
-            table.update(zip(zip(itertools.repeat(i), leaving[y]), map(index.__getitem__, compose(k, out[y]))))
+        Budget().spend(table.start[-1])
+        out = [tuple(map(keys.__getitem__, ids)) for ids in table.out]
+        for k, y in zip(keys, dst):
+            table.flat.extend(map(index.__getitem__, compose(k, out[y])))
+        if len(table.flat) != table.start[-1]:
+            raise AssertionError("presented row of the wrong length; construction bug")
         units = tuple(index[unit(x)] for x in range(term_count))
         tables = (term_count, src, dst, units, table, tuple(index[inverse(k)] for k in keys))
         if cell is None:
@@ -87,24 +90,20 @@ def _presented(keys, ends, compose, inverse, unit, term_count: int, cell=None) -
 
 
 def _units_first(level: _Level) -> tuple[_Level, dict[int, int]]:
-    """Permute a level's ids so the units come first, in term order, label
-    each cell with its least new id, and insert the composition rows in id
-    order, as `_presented` fills them.  Returns the level and the
-    old-to-new id map."""
-    order = _units_then(level.unit, range(len(level.src)))
-    new = {old: i for i, old in enumerate(order)}
-    src, dst, unit, inv = level.src, level.dst, level.unit, level.inv
-    tables = (
-        level.term_count,
-        tuple(src[i] for i in order),
-        tuple(dst[i] for i in order),
-        tuple(new[unit[x]] for x in range(level.term_count)),
-        dict(sorted(((new[p], new[q]), new[r]) for (p, q), r in level.table.items())),
-        tuple(new[inv[i]] for i in order),
+    """Permute a level's ids so the units come first, in term order, as
+    `_presented` lays them out.  Returns the level and the old-to-new id
+    map."""
+    order, table = _units_then(level.unit, range(len(level.src))), level.table
+    new = _presented(
+        order,
+        ends=lambda i: (level.src[i], level.dst[i]),
+        compose=lambda i, out: map(table.row(i).__getitem__, map(table.pos.__getitem__, out)),
+        inverse=level.inv.__getitem__,
+        unit=level.unit.__getitem__,
+        term_count=level.term_count,
+        cell=None if isinstance(level, FiniteGroupoid) else level.cell.__getitem__,
     )
-    if isinstance(level, FiniteGroupoid):
-        return FiniteGroupoid(*tables), new
-    return EquivalenceLayer(*tables, _least(level.cell[i] for i in order)), new
+    return new, {old: i for i, old in enumerate(order)}
 
 
 def _renumber(t: Typoid) -> tuple[Typoid, dict[int, int], dict[int, int]]:
@@ -266,10 +265,17 @@ def _pair(l1: _Level, l2: _Level) -> tuple[_Level, tuple[tuple[int, int], ...]]:
     keys = _units_then(
         itertools.product(l1.unit, l2.unit), itertools.product(range(len(l1.src)), range(len(l2.src)))
     )
+
+    def compose(k, out):
+        # each factor composes down its column of `out`
+        m1s, m2s = zip(*out)
+        return zip(map(table1.row(k[0]).__getitem__, map(table1.pos.__getitem__, m1s)),
+                   map(table2.row(k[1]).__getitem__, map(table2.pos.__getitem__, m2s)))
+
     level = _presented(
         keys,
         ends=lambda k: (l1.src[k[0]] * t2 + l2.src[k[1]], l1.dst[k[0]] * t2 + l2.dst[k[1]]),
-        compose=lambda k, out: [(table1[k[0], m1], table2[k[1], m2]) for m1, m2 in out],
+        compose=compose,
         inverse=lambda k: (l1.inv[k[0]], l2.inv[k[1]]),
         unit=lambda z: (l1.unit[z // t2], l2.unit[z % t2]),
         term_count=l1.term_count * t2,
@@ -415,14 +421,13 @@ def _completion_base(layer: EquivalenceLayer) -> tuple[FiniteGroupoid, tuple[int
     sending each class to its designated or representative edge."""
     cell, star = layer.cell, layer.star
     if cell == tuple(range(layer.edge_count)):
-        # singleton cells, so `cell` is the identity: the layer is its own base, star in id-pair order
-        table = star if list(star) == sorted(star) else dict(sorted(star.items()))
-        return FiniteGroupoid(layer.term_count, layer.edge_src, layer.edge_dst, layer.eqv, table, layer.einv), cell
+        # singleton cells, so `cell` is the identity: the layer is its own base
+        return FiniteGroupoid(layer.term_count, layer.edge_src, layer.edge_dst, layer.eqv, star, layer.einv), cell
     reps = sorted(layer.class_members)
     paths = _presented(
         reps,
         ends=lambda r: (layer.edge_src[r], layer.edge_dst[r]),
-        compose=lambda r1, out: [cell[star[(r1, r2)]] for r2 in out],
+        compose=lambda r1, out: map(cell.__getitem__, map(star.row(r1).__getitem__, map(star.pos.__getitem__, out))),
         inverse=lambda r: cell[layer.einv[r]],
         unit=lambda x: cell[layer.eqv[x]],
         term_count=layer.term_count,
@@ -486,8 +491,7 @@ def exponential_typoid(
     _require_valid_typoid(a)
     _require_valid_typoid(b)
     name = name or f"exp_{a.name}_{b.name}"
-    bcell = b.layer.cell
-    bstar = b.layer.star
+    bcell, bstar, bpos = b.layer.cell, b.layer.star, b.layer.star.pos
     asrc, adst = a.layer.edge_src, a.layer.edge_dst
 
     # the term maps: one search position per term of a; each path and edge
@@ -527,16 +531,19 @@ def exponential_typoid(
     alike: dict[tuple[int, ...], list[int]] = {}
     for j, key in enumerate(keys):
         alike.setdefault(key, []).append(j)
+    # the sides of a square as cells, by the edges of b the terms use:
+    # after[e][d] is the cell of e * d and before[e][d] that of d * e
+    brows = [bstar.row(e) for e in range(b.layer.edge_count)]
+    used = set(itertools.chain.from_iterable(m.edge_map for m in terms))
+    after = {e: dict(zip(bstar.out[b.layer.edge_dst[e]], map(bcell.__getitem__, brows[e]))) for e in used}
+    before = {e: {d: bcell[brows[d][bpos[e]]] for d in entering[b.layer.edge_src[e]]} for e in used}
     families: list[tuple[int, ...]] = []  # (src term, dst term, *theta)
     for i, fm in enumerate(terms):
         for j in alike[keys[i]]:
             gm = terms[j]
             options = [b.layer.hom(fm.term_map[x], gm.term_map[x]) for x in range(a.term_count)]
             squares = [
-                (
-                    max(sx, sy),
-                    lambda c, sx=sx, sy=sy, fe=fe, ge=ge: bcell[bstar[(fe, c[sy])]] == bcell[bstar[(c[sx], ge)]],
-                )
+                (max(sx, sy), lambda c, sx=sx, sy=sy, left=after[fe], right=before[ge]: left[c[sy]] == right[c[sx]])
                 for sx, sy, fe, ge in zip(asrc, adst, fm.edge_map, gm.edge_map)
             ]
             for theta in _backtrack(options, squares):
@@ -552,13 +559,11 @@ def exponential_typoid(
     units = [(i, i, *map(beqv.__getitem__, m.term_map)) for i, m in enumerate(terms)]
     families = _units_then(units, families)
     # a row of composites f1 * f2 at once: pointwise through the rows of
-    # b's star (brow[e1][e2] = e12), down the columns of the f2s in `out`
-    bout = _out_index(b.layer.edge_src, b.term_count)
-    brow = [{e2: bstar[e1, e2] for e2 in bout[y]} for e1, y in enumerate(b.layer.edge_dst)]
-
+    # b's star, down the columns of the f2s in `out`
     def compose(f1, out):
         _, heads, *thetas = zip(*out)
-        return zip(itertools.repeat(f1[0]), heads, *map(map, (brow[e].__getitem__ for e in f1[2:]), thetas))
+        pointwise = (map(brows[e].__getitem__, map(bpos.__getitem__, theta)) for e, theta in zip(f1[2:], thetas))
+        return zip(itertools.repeat(f1[0]), heads, *pointwise)
 
     layer = _presented(
         families,

@@ -55,8 +55,8 @@ from .model import (
     FiniteGroupoid,
     Typoid,
     _Level,
+    _Table,
     _Words,
-    _out_index,
 )
 from .morphisms import TypoidMorphism
 
@@ -548,11 +548,12 @@ def _assemble_typoid(
                 unknown(term_id, row, "term", 1)
         return out
 
-    def compose(level: _Ids, absorbing) -> dict[tuple[int, int], int]:
+    def compose(level: _Ids, absorbing) -> _Table:
         """A level's composition rows (E103, E104, E106), then the rows in
         which the unit of an `absorbing` term absorbs; E105 for the rest."""
         w, ids, src, dst = level.words, level.ids, level.src, level.dst
-        table: dict[tuple[int, int], int] = {}
+        table = _Table(tuple(src), tuple(dst), n_terms)
+        flat, start, pos = table.flat, table.start, table.pos  # pair (x, y) sits at start[x] + pos[y]
         for row in raw.rows[w.comp]:
             xn, yn, zn, at = row
             try:
@@ -564,19 +565,16 @@ def _assemble_typoid(
                 where = w.apart.format(xn, term_names[dst[x]], yn, term_names[src[y]])
                 error(locate(at, 2), E_ENDPOINTS, f"{w.item}s {xn!r} and {yn!r} do not compose{where}")
                 continue
-            if (x, y) in table:
+            i = start[x] + pos[y]
+            if flat[i] >= 0:
                 error(locate(at, 1), E_CONFLICT, f"{w.comp} of {xn!r} and {yn!r} declared twice")
                 continue
-            table[(x, y)] = z
+            flat[i] = z
         for q in range(len(src)):
-            if src[q] in absorbing:
-                table.setdefault((src[q], q), q)
-            if dst[q] in absorbing:
-                table.setdefault((q, dst[q]), q)
-        # missing pairs are counted, not walked, so the listing stops at the cap
-        out = _out_index(src, n_terms)
-        missing = sum(len(out[d]) for d in dst) - len(table)
-        pairs = ((x, y) for x in range(len(src)) for y in out[dst[x]] if (x, y) not in table)
+            for unit, i in ((src[q], start[src[q]] + pos[q]), (dst[q], start[q] + pos[dst[q]])):
+                if unit in absorbing and flat[i] < 0:
+                    flat[i] = q
+        missing, pairs = flat.count(-1), table.missing()
         names = level.names
         for x, y in islice(pairs, min(missing, _MISSING_SHOWN)):
             error(
@@ -685,8 +683,8 @@ def _assemble_typoid(
     units = tuple(all_terms)
     typ = Typoid(
         name=raw.name,
-        base=FiniteGroupoid(n_terms, tuple(paths.src), tuple(paths.dst), units, comp, pinv),
-        layer=EquivalenceLayer(n_terms, tuple(edges.src), tuple(edges.dst), units, star, einv, cell),
+        base=FiniteGroupoid(n_terms, comp.src, comp.dst, units, comp, pinv),
+        layer=EquivalenceLayer(n_terms, star.src, star.dst, units, star, einv, cell),
         idtoeqv=idtoeqv,
     )
     return TypoidEntry(
@@ -847,8 +845,8 @@ def serialize(doc: Document) -> str:
 def serialize_to(doc: Document, emit: Callable[[str], object]) -> None:
     """Pass the text of `serialize(doc)` to `emit`, such as an open file's
     `write`, in pieces of at most `_PIECE_LINES` lines.  Composition rows,
-    the one part that grows with pairs rather than ids, are made a slice of
-    sorted keys at a time."""
+    the one part that grows with pairs rather than ids, are made one row
+    of the table at a time."""
     lines: list[str] = []
     for k, entry in enumerate(doc.entries):
         if k:
@@ -897,12 +895,12 @@ def _write_level(lines: list[str], level: _Level, names, term_names, emit) -> No
     src, dst, table = level.src, level.dst, level.table
     for i in range(n, len(src)):
         lines.append(f"  {item} {names[i]} : {term_names[src[i]]} {arrow} {term_names[dst[i]]} ;")
-    keys = sorted(table)
-    for start in range(0, len(keys), _PIECE_LINES):
-        _spill(lines, emit)
-        for (p, q) in keys[start:start + _PIECE_LINES]:
-            r = table[(p, q)]
-            if (p < n and r == q) or (q < n and r == p):
+    flat, start, out = table.flat, table.start, table.out
+    for p, y in enumerate(dst):
+        if len(lines) >= _PIECE_LINES:
+            _spill(lines, emit)
+        for q, r in zip(out[y], flat[start[p]:start[p + 1]]):
+            if r < 0 or (p < n and r == q) or (q < n and r == p):
                 continue
             lines.append(f"  {comp} {names[p]} {op} {names[q]} = {names[r]} ;")
     for i, j in enumerate(level.inv):

@@ -10,7 +10,7 @@ instead of aborting on the first problem; their reports, law counts and
 budget charges are those of an exhaustive check.  Paths are checked as a
 level whose cells are singletons, so one checker holds the table, unit,
 inverse and associativity laws of both levels.  The composition tables are
-split into one row per path or edge, indexed by the terms' outgoing ids, so
+stored by rows, one per path or edge over the ids leaving its end, so
 associativity runs over composable triples only.  On a level whose tables,
 units, inverses and congruence hold, associativity is checked on
 generators (Light's test: the middles it holds around are closed under
@@ -20,10 +20,13 @@ witness is listed.
 
 from __future__ import annotations
 
+import itertools
 import os
+from array import array
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import NamedTuple
 
 DEFAULT_MAX_CHECKS = 10_000_000
 
@@ -135,11 +138,100 @@ _EDGE_WORDS = _Words(
 )
 
 
+class _Table(Mapping):
+    """A level's composition table, keyed by pairs (p, q) and read-only.
+
+    Row p holds p·q for each id q leaving p's end (`out`), in id order, at
+    `start[p] + pos[q]` in `flat`, one array of C ints for every row, with
+    -1 for a missing entry.  An entry that fits no slot, because its key is
+    not a composable pair of ids or its value is not an id, is kept in
+    `side` for bookkeeping to report; on endpoints that cannot be read,
+    every entry is.  Iteration is in row order, then over the rest of
+    `side`."""
+
+    __slots__ = ("src", "dst", "term_count", "out", "pos", "start", "flat", "side")
+
+    def __init__(self, src, dst, term_count, flat=None):
+        """The table of ids with these endpoints: rows `flat`, or all empty."""
+        self.src, self.dst, self.term_count, self.side = src, dst, term_count, {}
+        out, pos = [], array("i")
+        try:
+            if len(src) == len(dst) and _ids_in_range(src, term_count) and _ids_in_range(dst, term_count):
+                out = [[] for _ in range(term_count)]
+                for q, x in enumerate(src):
+                    pos.append(len(out[x]))
+                    out[x].append(q)
+        except TypeError:
+            out, pos = [], array("i")
+        self.out, self.pos = out, pos
+        lengths = map(len, map(out.__getitem__, dst if pos else ()))
+        self.start = array("q", itertools.accumulate(lengths, initial=0))
+        self.flat = array("i", [-1]) * self.start[-1] if flat is None else flat
+
+    def slot(self, key) -> int:
+        """The index in `flat` of key's slot, or -1 if it has none."""
+        try:
+            p, q = key
+            if p >= 0 and q >= 0 and self.dst[p] == self.src[q]:
+                return self.start[p] + self.pos[q]  # IndexError unless both are ids
+        except (TypeError, ValueError, IndexError):
+            pass
+        return -1
+
+    def row(self, p: int) -> array:
+        return self.flat[self.start[p]:self.start[p + 1]]
+
+    def _slots(self) -> Iterator[tuple[tuple[int, int], int]]:
+        """Each slot's key and entry, in row order."""
+        for p in range(len(self.pos)):
+            yield from zip(zip(itertools.repeat(p), self.out[self.dst[p]]), self.row(p))
+
+    def missing(self) -> Iterator[tuple[int, int]]:
+        """The composable pairs that have no entry, in row order."""
+        return (pq for pq, r in self._slots() if r < 0 and pq not in self.side)
+
+    def __getitem__(self, key):
+        i = self.slot(key)
+        return self.flat[i] if i >= 0 and self.flat[i] >= 0 else self.side[key]
+
+    def __iter__(self) -> Iterator:
+        yield from (pq for pq, r in self._slots() if r >= 0 or pq in self.side)
+        yield from (key for key in self.side if self.slot(key) < 0)
+
+    def __len__(self) -> int:
+        return len(self.flat) - self.flat.count(-1) + len(self.side)
+
+    def __eq__(self, other):
+        # two tables over the same ids lay their entries out alike
+        ends = (self.src, self.dst, self.term_count)
+        if isinstance(other, _Table) and ends == (other.src, other.dst, other.term_count):
+            return self.flat == other.flat and self.side == other.side
+        return super().__eq__(other)
+
+    def __repr__(self) -> str:
+        return repr(dict(self))
+
+
 class _Level:
     """One level as the law checker reads it: ids with endpoints `src` and
     `dst`, a `unit` per term, a composition `table`, an inverse `inv` and a
     `cell` map, called by `words`.  Each level class maps its own fields
-    onto these names; paths are the level whose cells are singletons."""
+    onto these names; paths are the level whose cells are singletons.  The
+    composition field is always a `_Table`: any Mapping given is converted,
+    by the constructor or by `dataclasses.replace`."""
+
+    def __post_init__(self):
+        given, ends = self.table, (self.src, self.dst, self.term_count)
+        if isinstance(given, _Table) and (given.src, given.dst, given.term_count) == ends:
+            return
+        table = _Table(*ends)
+        for key, r in given.items():
+            i = table.slot(key)
+            if i >= 0 and isinstance(r, int) and 0 <= r < len(table.pos):
+                table.flat[i] = r
+            else:
+                table.side[key] = r
+        object.__setattr__(self, self.words.comp, table)  # words.comp names the field: comp or star
 
     @cached_property
     def _hom(self) -> dict[tuple[int, int], tuple[int, ...]]:
@@ -157,7 +249,8 @@ class FiniteGroupoid(_Level):
     """Strict groupoid on terms 0..term_count-1.
 
     Paths are dense ids with endpoint tables; `comp` is keyed by composable
-    pairs and `inv` is total.  All laws are meant to hold on the nose.
+    pairs and stored by rows (`_Table`), and `inv` is total.  All laws are
+    meant to hold on the nose.
     """
 
     term_count: int
@@ -273,72 +366,63 @@ def _out_index(src: tuple[int, ...], term_count: int) -> list[list[int]]:
     return out
 
 
-def _triple_estimate(src: tuple[int, ...], dst: tuple[int, ...], out: list[list[int]]) -> int:
-    """Composable triples (p, q, r): for each middle q, the ids entering its
-    source times the ids leaving its target."""
-    into = [0] * len(out)
-    for y in dst:
-        into[y] += 1
-    return sum(into[src[q]] * len(out[dst[q]]) for q in range(len(src)))
-
-
-def _table_rows(
-    name: str,
-    table: Mapping[tuple[int, int], int],
-    src: tuple[int, ...],
-    dst: tuple[int, ...],
-    out: list[list[int]],
-    violations: list[Violation],
-) -> list[dict[int, int]]:
-    """Split a composition table into rows: rows[p][q] = table[p, q] for each
-    composable pair whose entry is in range with the right endpoints.
-    Missing, stray and malformed entries are Bookkeeping violations."""
-    n = len(src)
-    rows: list[dict[int, int]] = [{} for _ in range(n)]
-    for (p, q), r in table.items():
-        if not (0 <= p < n and 0 <= q < n and dst[p] == src[q]):
-            violations.append(Violation("Bookkeeping", (p, q), f"{name} entry {(p, q)} is not a composable pair"))
-        elif not 0 <= r < n:
-            violations.append(Violation("Bookkeeping", (p, q), f"{name}{(p, q)} = {r} is out of range"))
-        elif src[r] != src[p] or dst[r] != dst[q]:
-            violations.append(Violation("Bookkeeping", (p, q), f"{name}{(p, q)} = {r} has wrong endpoints"))
-        else:
-            rows[p][q] = r
-    for p, row in enumerate(rows):
-        if len(row) < len(out[dst[p]]):
-            for q in out[dst[p]]:
-                if q not in row and (p, q) not in table:
-                    violations.append(
-                        Violation("Bookkeeping", (p, q), f"{name} entry missing for composable pair {(p, q)}")
-                    )
+def _rows(level: _Level, violations: list[Violation]) -> list[list[int]]:
+    """The rows of a readable level's composition table as lists, with -1
+    for an entry that is missing or has wrong endpoints, each closed by one
+    more -1 (see `_associativity`).  Missing, stray and malformed entries
+    are Bookkeeping violations; a row is walked entry by entry only when a
+    whole-row test of its values' endpoints fails."""
+    name, src, dst, table = level.words.comp, level.src, level.dst, level.table
+    for pq, r in table.side.items():
+        stray = table.slot(pq) < 0
+        detail = f"{name} entry {pq} is not a composable pair" if stray else f"{name}{pq} = {r} is out of range"
+        violations.append(Violation("Bookkeeping", pq, detail))
+    if -1 in table.flat:
+        detail = f"{name} entry missing for composable pair {{}}"
+        violations += (Violation("Bookkeeping", pq, detail.format(pq)) for pq in table.missing())
+    ends = [list(map(dst.__getitem__, ids)) for ids in table.out]  # the ends of the ids leaving each term
+    flat, start = table.flat.tolist(), table.start
+    rows = []
+    for p, y in enumerate(dst):
+        row = flat[start[p]:start[p + 1]]
+        starts = [*map(src.__getitem__, row)]
+        if -1 in row or [*map(dst.__getitem__, row)] != ends[y] or starts.count(src[p]) < len(row):
+            for i, (q, r) in enumerate(zip(table.out[y], row)):
+                if r >= 0 and (src[r] != src[p] or dst[r] != dst[q]):
+                    violations.append(Violation("Bookkeeping", (p, q), f"{name}{(p, q)} = {r} has wrong endpoints"))
+                    row[i] = -1
+        rows.append(row + [-1])
     return rows
 
 
 def _associativity(
-    rows: list[dict[int, int]], cell: Sequence[int], middles: Iterable[int]
+    level: _Level, rows: list[list[int]], pos: list[int], into: list[list[int]], middles: Iterable[int]
 ) -> tuple[int, list[tuple[int, int, int, int, int]]]:
     """Associativity up to cells over the composable triples (p, q, r) of a
-    row table whose middle q is one of `middles`.
+    level's rows whose middle q is one of `middles`; `into` lists the ids
+    entering each term and `pos` places each id in its source's row order.
 
     Counts the instances whose two bracketings are both defined and returns
     (p, q, r, lhs, rhs) for those that lie in different cells, in no fixed
-    order.  Row q holds exactly the r composable after q, so each (p, q)
-    compares its two bracketings over row q in one pass.
-    """
-    middles = set(middles)
+    order.  Row p·q and p composed down row q line up with row q, so each
+    (p, q) compares both bracketings of a whole row at once; `pos` maps -1,
+    a missing entry, to the -1 that closes every row."""
+    src, dst, cell, out = level.src, level.dst, level.cell, level.table.out
     count = 0
     bad: list[tuple[int, int, int, int, int]] = []
-    for p, row_p in enumerate(rows):
-        p_get = row_p.get
-        for q in row_p.keys() & middles:
-            row_q = rows[q]
-            lhs = list(map(rows[row_p[q]].get, row_q))
-            rhs = list(map(p_get, row_q.values()))
-            if lhs == rhs:
-                count += len(lhs) - lhs.count(None)
+    for q in middles:
+        places, i = list(map(pos.__getitem__, rows[q])), pos[q]
+        for p in into[src[q]]:
+            row_p = rows[p]
+            pq = row_p[i]
+            if pq < 0:
                 continue
-            for r, a, b in zip(row_q, lhs, rhs):
-                if a is None or b is None:
+            lhs, rhs = rows[pq], list(map(row_p.__getitem__, places))
+            if lhs == rhs:
+                count += len(lhs) - lhs.count(-1)
+                continue
+            for r, a, b in zip(out[dst[q]], lhs, rhs):
+                if a < 0 or b < 0:
                     continue
                 count += 1
                 if cell[a] != cell[b]:
@@ -346,13 +430,12 @@ def _associativity(
     return count, bad
 
 
-def _generators(
-    rows: list[dict[int, int]], unit: Sequence[int], src: Sequence[int], dst: Sequence[int]
-) -> list[int]:
+def _generators(level: _Level, rows: list[list[int]], pos: list[int]) -> list[int]:
     """Generators of a level whose composable pairs all have entries, chosen
     greedily in id order: starting from the units, the ids reached are
     closed under right multiplication by the generators chosen so far, and
     each id still unreached becomes a new generator."""
+    unit, src, dst = level.unit, level.src, level.dst
     reached = [False] * len(rows)
     ending: list[list[int]] = [[] for _ in unit]  # reached ids by target
     leaving: list[list[int]] = [[] for _ in unit]  # generators by source
@@ -369,7 +452,7 @@ def _generators(
             r = todo.pop()
             row = rows[r]
             for g in leaving[dst[r]]:
-                reach(row[g])
+                reach(row[pos[g]])
 
     for x in unit:
         reach(x)
@@ -381,7 +464,7 @@ def _generators(
         generators.append(g)
         leaving[src[g]].append(g)
         for r in list(ending[src[g]]):
-            reach(rows[r][g])
+            reach(rows[r][pos[g]])
         reach(g)
         close()
     return generators
@@ -433,68 +516,61 @@ def _malformed(level: _Level, violations: list[Violation]) -> bool:
 
 
 def _level_laws(
-    level: _Level, violations: list[Violation], counts: dict[str, int], budget: Budget
-) -> tuple[list[dict[int, int]], int]:
-    """The unit and inverse laws of a readable level, up to its cells, and
-    the charge for its associativity.  Returns the composition table split
-    into rows and the number of composable triples charged."""
+    level: _Level, violations: list[Violation], counts: dict[str, int], budget: Budget, clean_from: int
+) -> tuple[list[list[int]], list[int]]:
+    """Every law of a readable level, up to its cells: units, inverses, on
+    a layer congruence (Typ4), then associativity.  Returns the level's
+    rows (`_rows`) and each id's place in its row order followed by -1
+    (see `_associativity`).
+
+    The level is clean when no violation came after `clean_from`: every
+    composable pair has an entry, the units and inverses hold, and
+    composition respects the cells.  There the middles q with (p·q)·r in
+    the cell of p·(q·r) for all p and r are closed under composition
+    (Light's test), so it is enough that every generator is one.
+    Otherwise every middle is checked, so the count and the witnesses are
+    those of the exhaustive check."""
     w, src, dst, unit, inv, cell = level.words, level.src, level.dst, level.unit, level.inv, level.cell
-    out = _out_index(src, level.term_count)
-    rows = _table_rows(w.comp, level.table, src, dst, out, violations)
-    unit_law, inv_law, _ = w.laws
+    rows, out, into = _rows(level, violations), level.table.out, _out_index(dst, level.term_count)
+    pos = [*level.table.pos, -1]
+    unit_law, inv_law, assoc_law = w.laws
     left, right, forward, backward = w.units
     # one charge per law name, in order: paths spend units and inverses at
-    # once as Groupoid, edges spend Typ1 and then Typ2
+    # once as Groupoid, edges spend Typ1 and then Typ2; -1 where a pair
+    # does not compose
     charges = dict.fromkeys((unit_law, inv_law), 0)
     for p in range(len(src)):
-        x, y = unit[src[p]], unit[dst[p]]
+        x, y, i = unit[src[p]], unit[dst[p]], inv[p]
         for law, template, found, expected in (
-            (unit_law, left, rows[x].get(p), p),
-            (unit_law, right, rows[p].get(y), p),
-            (inv_law, forward, rows[p].get(inv[p]), x),
-            (inv_law, backward, rows[inv[p]].get(p), y),
+            (unit_law, left, rows[x][pos[p]] if dst[x] == src[p] else -1, p),
+            (unit_law, right, rows[p][pos[y]] if dst[p] == src[y] else -1, p),
+            (inv_law, forward, rows[p][pos[i]] if dst[p] == src[i] else -1, x),
+            (inv_law, backward, rows[i][pos[p]] if dst[i] == src[p] else -1, y),
         ):
-            if found is not None:
+            if found >= 0:
                 charges[law] += 1
                 if cell[found] != cell[expected]:
                     violations.append(Violation(law, (p,), template.format(p, found)))
     for law, spent in charges.items():
         counts[law] = spent
         budget.spend(spent)
-    triples = _triple_estimate(src, dst, out)
-    budget.spend(triples)
-    return rows, triples
-
-
-def _associativity_law(
-    level: _Level,
-    rows: list[dict[int, int]],
-    triples: int,
-    clean: bool,
-    violations: list[Violation],
-    counts: dict[str, int],
-) -> None:
-    """The associativity law of a level, up to its cells.
-
-    A clean level has an entry for every composable pair, its units and
-    inverses hold, and composition respects its cells.  There the middles q
-    with (p·q)·r in the cell of p·(q·r) for all p and r are closed under
-    composition (Light's test), so it is enough that every generator is
-    one; then all `triples` hold.  Otherwise every middle is checked, so
-    the count and the witnesses are those of the exhaustive check.
-    """
-    w, src, cell = level.words, level.src, level.cell
-    assoc, bad = triples, []
-    if not clean or _associativity(rows, cell, _generators(rows, level.unit, src, level.dst))[1]:
-        assoc, bad = _associativity(rows, cell, range(len(src)))
-    law = w.laws[2]
-    counts[law] = counts.get(law, 0) + assoc
+    # composable triples: for each middle q, the ids entering its source times those leaving its end
+    assoc = sum(len(into[src[q]]) * len(out[dst[q]]) for q in range(len(src)))
+    budget.spend(assoc)
+    typ4 = _congruence(level, rows, pos, violations, budget) if isinstance(level, EquivalenceLayer) else None
+    bad = []
+    if len(violations) > clean_from or _associativity(level, rows, pos, into, _generators(level, rows, pos))[1]:
+        assoc, bad = _associativity(level, rows, pos, into, range(len(rows)))
+    counts[assoc_law] = counts.get(assoc_law, 0) + assoc
     for p, q, r, lhs, rhs in bad:
-        violations.append(Violation(law, (p, q, r), w.assoc.format(p, q, r, lhs, rhs)))
+        violations.append(Violation(assoc_law, (p, q, r), w.assoc.format(p, q, r, lhs, rhs)))
+    if typ4 is not None:
+        counts["Typ4"] = typ4  # after Typ3, in law order
+    return rows, pos
 
 
 def _congruence(
-    layer: EquivalenceLayer, rows: list[dict[int, int]], violations: list[Violation], budget: Budget
+    layer: EquivalenceLayer, rows: list[list[int]], pos: list[int], violations: list[Violation], budget: Budget
 ) -> int:
     """Typ4: star respects cells, over every composable pair of cells.
     Returns the instance count."""
@@ -511,12 +587,12 @@ def _congruence(
         for m2 in after[layer.edge_dst[m1[0]]]:
             if len(m1) == len(m2) == 1:
                 # one composite, compared with itself
-                typ4 += m2[0] in rows[m1[0]]
+                typ4 += rows[m1[0]][pos[m2[0]]] >= 0
                 continue
-            stars = [(e1, e2, rows[e1].get(e2)) for e1 in m1 for e2 in m2]
+            stars = [(e1, e2, rows[e1][pos[e2]]) for e1 in m1 for e2 in m2]
             for e1, e2, lhs in stars:
                 for d1, d2, rhs in stars:
-                    if lhs is None or rhs is None:
+                    if lhs < 0 or rhs < 0:
                         continue
                     typ4 += 1
                     if cell[lhs] != cell[rhs]:
@@ -541,8 +617,7 @@ def validate_groupoid(g: FiniteGroupoid, budget: Budget | None = None) -> Valida
         violations.append(Violation("Bookkeeping", (), "negative term count"))
     clean_from = len(violations)
     if not _malformed(g, violations):
-        rows, triples = _level_laws(g, violations, counts, budget)
-        _associativity_law(g, rows, triples, len(violations) == clean_from, violations, counts)
+        _level_laws(g, violations, counts, budget, clean_from)
     return ValidationReport.collect(violations, counts)
 
 
@@ -594,11 +669,7 @@ def validate_typoid(t: Typoid, budget: Budget | None = None) -> ValidationReport
         # would only produce noise on top of the Partition reports
         return ValidationReport.collect(violations, counts)
 
-    rows, triples = _level_laws(layer, violations, counts, budget)
-    # Typ4 comes before Typ3, whose generator check needs congruence
-    typ4 = _congruence(layer, rows, violations, budget)
-    _associativity_law(layer, rows, triples, len(violations) == clean_from, violations, counts)
-    counts["Typ4"] = typ4
+    rows, pos = _level_laws(layer, violations, counts, budget, clean_from)
     cell = layer.cell
 
     if "Groupoid" not in base_report.law_counts:
@@ -636,22 +707,23 @@ def validate_typoid(t: Typoid, budget: Budget | None = None) -> ValidationReport
                             f"refl of term {x} must map to the designated eqv edge, got {t.idtoeqv[t.base.refl[x]]}",
                         )
                     )
-            in_range = range(t.base.path_count)
-            for (p, q), pq in t.base.comp.items():
-                if p not in in_range or q not in in_range or pq not in in_range:
-                    continue  # already a base bookkeeping violation
-                composite = rows[t.idtoeqv[p]].get(t.idtoeqv[q])
-                if composite is None:
-                    continue
-                ide += 1
-                if cell[t.idtoeqv[pq]] != cell[composite]:
-                    violations.append(
-                        Violation(
-                            "IdtoEqv",
-                            (p, q),
-                            f"image of comp({p},{q}) is not in the cell of star of the images",
+            # every base entry that fits a slot, with wrong endpoints or not
+            comp, idtoeqv = t.base.comp, t.idtoeqv
+            for p, y in enumerate(t.base.path_dst):
+                row = rows[idtoeqv[p]]
+                for q, pq in zip(comp.out[y], comp.row(p)):
+                    composite = row[pos[idtoeqv[q]]] if pq >= 0 else -1
+                    if composite < 0:
+                        continue
+                    ide += 1
+                    if cell[idtoeqv[pq]] != cell[composite]:
+                        violations.append(
+                            Violation(
+                                "IdtoEqv",
+                                (p, q),
+                                f"image of comp({p},{q}) is not in the cell of star of the images",
+                            )
                         )
-                    )
     counts["IdtoEqv"] = ide
     budget.spend(ide)
 

@@ -53,11 +53,13 @@ def validate_morphism(
             )
     if not violations and not all(0 <= y < dst.term_count for y in m.term_map):
         violations.append(Violation("Bookkeeping", (), "term map value out of range"))
-    # the laws read every id of both endpoints' tables; edge ends index the term map
+    # the laws read every id of both endpoints' tables; edge ends index the
+    # term map.  A table's slots hold ids, so only its side entries can be out of range
     for side, t in (("source", src), ("target", dst)):
         for level in (t.base, t.layer):
             broken = _unreadable(level, t.term_count)
-            if not _ids_in_range({*chain.from_iterable(level.table), *level.table.values()}, len(level.src)):
+            aside = level.table.side
+            if not _ids_in_range({*chain.from_iterable(aside), *aside.values()}, len(level.src)):
                 broken.append(f"{level.words.comp} id out of range")
             violations += (Violation("Bookkeeping", (), f"{side} {detail}") for detail in broken)
     if violations:
@@ -76,17 +78,22 @@ def validate_morphism(
 
     for table, s, d in levels[not check_base:]:
         unit_law, unit_detail, comp_law, comp_detail = s.words.functor
-        dcell, s_unit, d_unit, composite = d.cell, s.unit, d.unit, d.table.get
+        dcell, s_unit, d_unit, stable, dtable = d.cell, s.unit, d.unit, s.table, d.table
         for x, y in enumerate(m.term_map):
             if dcell[table[s_unit[x]]] != dcell[d_unit[y]]:
                 violations.append(Violation(unit_law, (x,), unit_detail.format(x)))
-        for (p, q), pq in s.table.items():
-            image = composite((table[p], table[q]))
-            if image is None or dcell[table[pq]] != dcell[image]:
+        # the images of a composable pair compose; a stray source key, in range by now, is looked up
+        entries = []  # (p, q, p·q, composite of the images or -1)
+        for p, y in enumerate(s.dst):
+            images, row = dtable.row(table[p]), zip(stable.out[y], stable.row(p))
+            entries += ((p, q, pq, images[dtable.pos[table[q]]]) for q, pq in row if pq >= 0)
+        entries += ((p, q, pq, dtable.get((table[p], table[q]), -1)) for (p, q), pq in stable.side.items())
+        for p, q, pq, image in entries:
+            if image < 0 or dcell[table[pq]] != dcell[image]:
                 violations.append(Violation(comp_law, (p, q), comp_detail.format(p, q)))
         counts[unit_law] = len(m.term_map)
-        counts[comp_law] = counts.get(comp_law, 0) + len(s.table)
-        spent = len(m.term_map) + len(s.table)
+        counts[comp_law] = counts.get(comp_law, 0) + len(entries)
+        spent = len(m.term_map) + len(entries)
         if s.words.item == "edge":
             cellp, bad = _constant_on_cells(
                 src.layer, [dcell[e] for e in table], "CellPres", "{0} and {1} share a cell but their images do not"
@@ -173,10 +180,14 @@ def _functors(src: _Level, dst: _Level, term_map) -> Iterator[tuple[int, ...]]:
     for x, u in enumerate(src.unit):
         unit_cell = dcell[dunit[term_map[x]]]
         options[u] = [q for q in options[u] if dcell[q] == unit_cell]
-    composite_cell = {pq: dcell[r] for pq, r in dst.table.items()}
+    # the cell of each composite in dst, by row; the images of a composable pair compose
+    stable, dtable, dpos = src.table, dst.table, dst.table.pos
+    cells = [[dcell[r] if r >= 0 else None for r in dtable.row(p)] for p in range(len(dst.src))]
     checks = [
-        (max(p, q, pq), lambda c, p=p, q=q, pq=pq: composite_cell.get((c[p], c[q])) == dcell[c[pq]])
-        for (p, q), pq in src.table.items()
+        (max(p, q, pq), lambda c, p=p, q=q, pq=pq: cells[c[p]][dpos[c[q]]] == dcell[c[pq]])
+        for p, y in enumerate(src.dst)
+        for q, pq in zip(stable.out[y], stable.row(p))
+        if pq >= 0
     ]
     checks += [(max(e, r), lambda c, e=e, r=r: dcell[c[e]] == dcell[c[r]]) for e, r in enumerate(src.cell) if e != r]
     return _backtrack(options, checks)

@@ -453,7 +453,7 @@ def test_completion_base_of_singleton_cells_orders_star_by_id_pair():
     for g in (T.codiscrete_groupoid(3), T.cyclic_groupoid(4)):
         layer = T.equality_typoid(g).layer
         assert layer.cell == tuple(range(layer.edge_count))
-        reversed_star = dataclasses.replace(layer, star=dict(reversed(layer.star.items())))
+        reversed_star = dataclasses.replace(layer, star=dict(reversed([*layer.star.items()])))
         for lay in (layer, reversed_star):
             assert repr(_completion_base(lay)) == repr(naive_completion_base(lay))
         assert list(_completion_base(reversed_star)[0].comp) == sorted(layer.star)

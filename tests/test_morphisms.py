@@ -307,6 +307,10 @@ def test_a_composite_missing_from_the_target_is_a_counted_violation(part, table,
         ("target", "base", "refl", (5,)),
         ("target", "layer", "cell", (0,)),
         ("source", "layer", "star", {(1, 9): 0}),
+        ("target", "base", "comp", {(1, 1): 7}),
+        ("target", "layer", "star", {(0, 1): -1}),
+        ("source", "base", "comp", {(1, 0): -2}),
+        ("target", "layer", "star", {(-1, 0): 1}),
     ],
 )
 def test_an_endpoint_id_out_of_range_is_bookkeeping(side, part, table, value):

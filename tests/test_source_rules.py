@@ -73,3 +73,28 @@ def test_every_l_code_names_a_law_a_command_can_report():
         if isinstance(node, ast.Constant) and isinstance(node.value, str)
     }
     assert sorted(set(cli.L_CODES) - literals) == []
+
+
+def test_only_the_row_table_reads_a_table_through_the_mapping_api():
+    # `comp`, `star` and a level's `table` are `model._Table`s stored by
+    # rows; their Mapping API takes Python calls per entry, so library code
+    # outside that class reads their rows instead
+    found = []
+    for path in LIBRARY:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        inside = {
+            id(node)
+            for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef) and cls.name == "_Table"
+            for node in ast.walk(cls)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Subscript):
+                read = node.value
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                read = node.func.value if node.func.attr in ("items", "get", "keys", "values") else None
+            else:
+                continue
+            if isinstance(read, ast.Attribute) and read.attr in ("comp", "star", "table") and id(node) not in inside:
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import dataclasses
 import importlib.util
+import types
 from pathlib import Path
 
 import pytest
@@ -103,3 +104,12 @@ def test_report_parts_record_the_decision_of_a_typoid_that_validates():
     assert parts["broken"]["decision"] == parts["broken"]["decision spent"] == none
     morphism = tree_diff.report_parts(T, T.morphisms.identity_morphism(unit))
     assert morphism[-2:] == [none, none]
+
+
+def test_sorted_copies_read_any_mapping_as_a_dict():
+    # a composition table is a Mapping but not a dict; its sorted copy must
+    # match that of a dict with the same entries in any order
+    entries = {(1, 0): 1, (0, 0): 0}
+    proxy = types.MappingProxyType(entries)
+    assert tree_diff._sorted_dicts(proxy) == tree_diff._sorted_dicts(dict(reversed(entries.items())))
+    assert tree_diff._sorted_dicts([proxy]) == ("list", ("dict", [(("tuple", 0, 0), 0), (("tuple", 1, 0), 1)]))

@@ -44,8 +44,12 @@ product of `stock_products()`, also whether each projection and their
 pairing pass `validate_morphism`, with the law counts, and each pointed
 factor certificate's table with whether `verify_certificate` passes it, as
 plain values.  Parts: the `repr` of each output (or raised exception), and
-that of a copy with sorted dicts; a row whose sorted copies agree is equal
-up to dict order, not different.  About 1 minute on two cores.
+that of a copy with sorted dicts (any Mapping counts as a dict); a row
+whose sorted copies agree is equal up to dict order, not different.  A
+composition table iterates in row order, so an output that embeds an
+input whose table was given out of row order, such as a `family()`
+member, reads equal up to dict order against a tree whose tables keep
+the order they were given.  About 1 minute on two cores.
 
 reports and outputs import `tests/corpus.py` and `tests/small_models.py`
 of this checkout under both trees, so those two files may import only
@@ -66,6 +70,7 @@ import random
 import subprocess
 import sys
 import tempfile
+from collections.abc import Mapping
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
 
@@ -267,11 +272,12 @@ def report_rows() -> list:
 
 
 def _sorted_dicts(obj):
-    """obj with every dict replaced by its sorted items; dataclasses and
-    named tuples become tuples of their type name and fields."""
+    """obj with every dict, or other Mapping, replaced by its sorted items;
+    dataclasses and named tuples become tuples of their type name and
+    fields."""
     if dataclasses.is_dataclass(obj):
         return (type(obj).__name__, *(_sorted_dicts(getattr(obj, f.name)) for f in dataclasses.fields(obj)))
-    if isinstance(obj, dict):
+    if isinstance(obj, Mapping):
         return ("dict", sorted((_sorted_dicts(k), _sorted_dicts(v)) for k, v in obj.items()))
     if isinstance(obj, (tuple, list, range)):
         return (type(obj).__name__, *map(_sorted_dicts, obj))
